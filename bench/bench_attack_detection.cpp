@@ -11,10 +11,12 @@
 // stalled) attacks.
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "common.hpp"
 #include "gansec/security/detector.hpp"
 #include "gansec/security/report.hpp"
+#include "gansec/security/stream_detector.hpp"
 
 int main() {
   using namespace gansec;
@@ -26,16 +28,15 @@ int main() {
 
   security::DetectorConfig config;
   config.generator_samples = bench::smoke() ? 50 : 200;
-  security::AttackDetector detector(exp.model, config);
+  const auto scoring =
+      std::make_shared<const security::ScoringModel>(exp.model, config);
   security::AttackInjector injector(exp.builder, 2024);
 
   std::cerr << "[bench] calibrating on benign observations...\n";
-  detector.calibrate(
-      injector.generate(calib_n, 0.0, security::AttackKind::kNone));
-  std::printf("alarm threshold (mean log-likelihood): %.3f\n",
-              detector.threshold());
-  reporter.add_metric("threshold", detector.threshold(),
-                      bench::Direction::kTwoSided);
+  const double threshold = security::calibrate_threshold(
+      *scoring, injector.generate(calib_n, 0.0, security::AttackKind::kNone));
+  std::printf("alarm threshold (mean log-likelihood): %.3f\n", threshold);
+  reporter.add_metric("threshold", threshold, bench::Direction::kTwoSided);
 
   std::cout << "\n=== Attack detection performance ===\n";
   for (const auto kind : {security::AttackKind::kIntegrity,
@@ -44,7 +45,8 @@ int main() {
     std::cerr << "[bench] evaluating " << security::attack_name(kind)
               << " attacks...\n";
     const auto observations = injector.generate(eval_n, 0.5, kind);
-    const security::DetectionReport report = detector.evaluate(observations);
+    const security::DetectionReport report =
+        security::evaluate(scoring, threshold, observations);
     std::printf("\n%s attacks:\n%s", security::attack_name(kind),
                 security::format_detection(report).c_str());
     const std::string prefix = security::attack_name(kind);
@@ -71,7 +73,8 @@ int main() {
       observations.push_back(injector.make_observation(
           label, security::AttackKind::kAvailability));
     }
-    const security::DetectionReport report = detector.evaluate(observations);
+    const security::DetectionReport report =
+        security::evaluate(scoring, threshold, observations);
     const char* names[3] = {"X", "Y", "Z"};
     std::printf("  motor %s: accuracy %.3f, AUC %.3f\n", names[label],
                 report.accuracy, report.auc);

@@ -101,16 +101,11 @@ int main() {
     // Calibrate the alarm threshold on benign injector windows, exactly
     // like the batch detector.
     security::AttackInjector injector(exp.builder, 71);
-    std::vector<double> benign_scores;
     const std::size_t calibrate_n = bench::smoke() ? 3 : 10;
-    for (const auto& obs : injector.generate(calibrate_n, 0.0,
-                                             security::AttackKind::kNone)) {
-      benign_scores.push_back(
-          scoring->score_row(obs.features, obs.expected_label));
-    }
     security::StreamDetectorConfig detector;
-    detector.threshold = math::percentile(
-        std::move(benign_scores), detector_config.false_alarm_percentile);
+    detector.threshold = security::calibrate_threshold(
+        *scoring,
+        injector.generate(calibrate_n, 0.0, security::AttackKind::kNone));
 
     constexpr std::size_t kStreams = 8;
     const std::size_t windows_per_stream = bench::smoke() ? 4 : 48;

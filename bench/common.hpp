@@ -7,7 +7,8 @@
 // with Algorithm 2. Because dataset synthesis (CWT over hundreds of
 // observations) and training dominate the runtime, the trained model,
 // datasets and scaler are cached on disk under cache_dir() and shared
-// across binaries; delete the directory to force a full rerun.
+// across binaries; delete the directory to force a full rerun. A cache
+// written at the other scale (smoke vs full) is rebuilt, not loaded.
 //
 // Two environment switches make the harness scriptable:
 //
@@ -38,6 +39,7 @@
 #include "gansec/am/trace_io.hpp"
 #include "gansec/error.hpp"
 #include "gansec/gan/trainer.hpp"
+#include "gansec/model/serialize.hpp"
 #include "gansec/obs/json.hpp"
 #include "gansec/obs/report.hpp"
 
@@ -119,6 +121,8 @@ struct Experiment {
 };
 
 /// Loads the cached experiment or builds+trains it (and writes the cache).
+/// The cache is loaded only when its model topology and scaler width match
+/// this scale's paper_topology() and bins.
 inline Experiment& experiment() {
   static auto* exp = [] {
     namespace fs = std::filesystem;
@@ -127,16 +131,24 @@ inline Experiment& experiment() {
     const fs::path train_csv = dir / "train.csv";
     const fs::path test_csv = dir / "test.csv";
     const fs::path scaler_txt = dir / "scaler.txt";
-    const fs::path model_txt = dir / "cgan.txt";
+    const fs::path model_gsm = dir / "cgan.gsm";
     if (fs::exists(train_csv) && fs::exists(test_csv) &&
-        fs::exists(scaler_txt) && fs::exists(model_txt)) {
-      std::cerr << "[bench] loading cached experiment from " << dir << "\n";
-      e->train_set = am::load_dataset_csv_file(train_csv.string());
-      e->test_set = am::load_dataset_csv_file(test_csv.string());
+        fs::exists(scaler_txt) && fs::exists(model_gsm)) {
+      gan::Cgan cached = model::load_cgan_checkpoint_file(model_gsm.string());
       std::ifstream scaler_in(scaler_txt);
-      e->builder.restore_scaler(dsp::MinMaxScaler::load(scaler_in));
-      e->model = gan::Cgan::load_file(model_txt.string());
-      return e;
+      dsp::MinMaxScaler scaler = dsp::MinMaxScaler::load(scaler_in);
+      if (cached.topology() == paper_topology() &&
+          scaler.mins().size() == paper_dataset_config().bins) {
+        std::cerr << "[bench] loading cached experiment from " << dir
+                  << "\n";
+        e->train_set = am::load_dataset_csv_file(train_csv.string());
+        e->test_set = am::load_dataset_csv_file(test_csv.string());
+        e->builder.restore_scaler(std::move(scaler));
+        e->model = std::move(cached);
+        return e;
+      }
+      std::cerr << "[bench] cache in " << dir
+                << " was written at another scale; rebuilding\n";
     }
     std::cerr << "[bench] generating dataset (first run"
               << (smoke() ? ", smoke scale" : ", ~1-2 min") << ")...\n";
@@ -151,7 +163,7 @@ inline Experiment& experiment() {
     am::save_dataset_csv_file(e->test_set, test_csv.string());
     std::ofstream scaler_out(scaler_txt);
     e->builder.scaler().save(scaler_out);
-    e->model.save_file(model_txt.string());
+    model::save_cgan_checkpoint(e->model, model_gsm.string());
     std::cerr << "[bench] cached to " << dir << "\n";
     return e;
   }();

@@ -8,11 +8,13 @@
 // jammed motor (availability) both betray themselves acoustically.
 #include <cstdio>
 #include <iostream>
+#include <memory>
 
 #include "gansec/am/dataset.hpp"
 #include "gansec/gan/trainer.hpp"
 #include "gansec/security/detector.hpp"
 #include "gansec/security/report.hpp"
+#include "gansec/security/stream_detector.hpp"
 
 int main() {
   using namespace gansec;
@@ -41,37 +43,43 @@ int main() {
   security::DetectorConfig det;
   det.generator_samples = 150;
   det.false_alarm_percentile = 5.0;
-  security::AttackDetector detector(model, det);
+  const auto scoring =
+      std::make_shared<const security::ScoringModel>(model, det);
   security::AttackInjector injector(builder, 555);
 
   std::cout << "calibrating the alarm threshold on benign traffic "
                "(target ~5% false alarms)...\n";
-  detector.calibrate(
-      injector.generate(25, 0.0, security::AttackKind::kNone));
+  const double threshold = security::calibrate_threshold(
+      *scoring, injector.generate(25, 0.0, security::AttackKind::kNone));
   std::printf("threshold: %.3f (mean log-likelihood under the commanded "
               "condition)\n",
-              detector.threshold());
+              threshold);
 
   for (const auto kind : {security::AttackKind::kIntegrity,
                           security::AttackKind::kAvailability}) {
     std::printf("\n--- %s attack campaign (50%% of moves attacked) ---\n",
                 security::attack_name(kind));
     const auto observations = injector.generate(20, 0.5, kind);
-    std::cout << security::format_detection(detector.evaluate(observations));
+    std::cout << security::format_detection(
+        security::evaluate(scoring, threshold, observations));
   }
 
   std::cout << "\n--- live monitor demo ---\n";
+  security::StreamDetectorConfig monitor_config;
+  monitor_config.threshold = threshold;
+  security::StreamDetector monitor(scoring, monitor_config);
   for (int i = 0; i < 6; ++i) {
     const std::size_t label = static_cast<std::size_t>(i % 3);
     const auto kind = (i % 2 == 0) ? security::AttackKind::kNone
                                    : security::AttackKind::kAvailability;
     const security::Observation obs = injector.make_observation(label, kind);
-    const double score = detector.score(obs.features, obs.expected_label);
-    const bool alarm = detector.is_attack(obs.features, obs.expected_label);
+    const security::WindowVerdict v = monitor.score_window(
+        obs.features.data(), obs.features.cols(), obs.expected_label);
     const char* motors[3] = {"X", "Y", "Z"};
     std::printf("commanded motor %s | truth: %-12s | score %8.3f | %s\n",
-                motors[label], security::attack_name(kind), score,
-                alarm ? "ALARM" : "ok");
+                motors[label], security::attack_name(kind), v.score,
+                v.verdict == security::StreamVerdict::kBenign ? "ok"
+                                                               : "ALARM");
   }
   return 0;
 }

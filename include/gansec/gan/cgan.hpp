@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "gansec/math/matrix.hpp"
@@ -30,6 +28,8 @@ struct CganTopology {
   /// Insert batch normalization after each generator hidden layer (a
   /// standard GAN stabilizer; never applied to the discriminator).
   bool generator_batchnorm = false;
+
+  bool operator==(const CganTopology&) const = default;
 };
 
 class Cgan {
@@ -38,8 +38,9 @@ class Cgan {
   /// randomness derives from `seed`.
   Cgan(CganTopology topology, std::uint64_t seed = 0xC6A2);
 
-  /// Reconstructs a Cgan around externally loaded networks (deserialization
-  /// path). Network shapes must match the topology.
+  /// Reconstructs a Cgan around externally loaded networks (the
+  /// gansec.model.v1 load path, model/serialize.hpp). Network shapes must
+  /// match the topology.
   Cgan(CganTopology topology, nn::Mlp generator, nn::Mlp discriminator);
 
   const CganTopology& topology() const { return topology_; }
@@ -71,12 +72,6 @@ class Cgan {
   /// D(data|conds): per-row probability that each sample is real.
   math::Matrix discriminate(const math::Matrix& data,
                             const math::Matrix& conditions);
-
-  /// Persists topology + both networks.
-  void save(std::ostream& os) const;
-  static Cgan load(std::istream& is);
-  void save_file(const std::string& path) const;
-  static Cgan load_file(const std::string& path);
 
  private:
   void validate_conditions(const math::Matrix& conditions,

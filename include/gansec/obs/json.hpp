@@ -1,7 +1,7 @@
 // Minimal JSON utilities shared by the observability sinks, the run-report
 // and benchmark-artifact writers, and their tests: string escaping, safe
-// number formatting, a full-grammar syntax validator, and a small DOM
-// parser (`parse_json`) for tools that must read artifacts back —
+// number formatting, and a small DOM parser (`parse_json`, which
+// `json_valid` also runs) for tools that must read artifacts back —
 // gansec_benchdiff compares two BENCH_*.json files without any external
 // dependency.
 #pragma once
@@ -23,9 +23,9 @@ std::string json_escape(std::string_view text);
 /// finite values, `null` for NaN/inf (JSON has no non-finite numbers).
 std::string json_number(double value);
 
-/// Strict RFC 8259 syntax check of one complete JSON value. On failure
-/// returns false and, when `error` is non-null, stores a short reason
-/// with the byte offset.
+/// Strict RFC 8259 syntax check of one complete JSON value: parse_json()
+/// with its ParseError caught. On failure returns false and, when `error`
+/// is non-null, stores the parser's reason with the byte offset.
 bool json_valid(std::string_view text, std::string* error = nullptr);
 
 /// Parsed JSON value. Objects keep member insertion order (artifact diffs

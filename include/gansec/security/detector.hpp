@@ -1,22 +1,18 @@
-// Likelihood-threshold attack detector built on the trained CGAN.
+// Likelihood-threshold attack detection built on the trained CGAN.
 //
 // The defender knows the commanded condition (cyber domain) and observes
-// the emission (physical domain). The detector scores the observation
-// against the CGAN's conditional distribution for the *expected* condition:
-// benign observations score high, attacked ones (wrong motor, stalled
-// motor) score low. An alarm fires when the score drops below a threshold
-// calibrated on benign data.
+// the emission (physical domain). A ScoringModel (stream_detector.hpp)
+// scores the observation against the CGAN's conditional distribution for
+// the *expected* condition: benign observations score high, attacked ones
+// (wrong motor, stalled motor) score low. An alarm fires when the score
+// drops below a threshold calibrated on benign data; that rule lives in
+// StreamDetector::score_window alone, and evaluate() runs through it.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "gansec/am/dataset.hpp"
-#include "gansec/gan/cgan.hpp"
 #include "gansec/security/attacks.hpp"
-#include "gansec/stats/kde.hpp"
-#include "gansec/stats/metrics.hpp"
 
 namespace gansec::security {
 
@@ -29,8 +25,8 @@ struct DetectorConfig {
   double parzen_h = 0.02;
   /// Feature indices used for scoring; empty = all features.
   std::vector<std::size_t> feature_indices;
-  /// Benign-score percentile used as the alarm threshold during calibrate()
-  /// (e.g. 5.0 => ~5% benign false-alarm rate).
+  /// Benign-score percentile used as the alarm threshold by
+  /// calibrate_threshold() (e.g. 5.0 => ~5% benign false-alarm rate).
   double false_alarm_percentile = 5.0;
 };
 
@@ -45,48 +41,16 @@ struct DetectionReport {
 
 class ScoringModel;  // stream_detector.hpp: the shareable Parzen model
 
-class AttackDetector {
- public:
-  /// Builds the per-(condition, feature) Parzen scoring model from the
-  /// trained generator (sampling happens here; the CGAN reference is not
-  /// retained afterwards).
-  AttackDetector(gan::Cgan& model, DetectorConfig config,
-                 std::uint64_t seed = 0xDE7EC7);
+/// Learns the alarm threshold: the model's false_alarm_percentile of the
+/// benign observations' scores. Throws InvalidArgumentError on an empty
+/// set or one containing an attacked observation.
+double calibrate_threshold(const ScoringModel& model,
+                           const std::vector<Observation>& benign);
 
-  /// Mean per-feature log-likelihood of the observation under its expected
-  /// condition (higher = more plausibly benign). The log form is the right
-  /// detection statistic: a feature where the observation falls far outside
-  /// the learned conditional distribution contributes a large negative
-  /// term instead of saturating at zero. Per-feature terms are floored at
-  /// `kLogFloor` so a single wild feature cannot dominate calibration.
-  double score(const math::Matrix& features,
-               std::size_t expected_label) const;
-
-  /// Floor for per-feature log-likelihood contributions.
-  static constexpr double kLogFloor = -50.0;
-
-  /// Learns the alarm threshold from benign observations.
-  void calibrate(const std::vector<Observation>& benign);
-
-  double threshold() const;
-  bool calibrated() const { return calibrated_; }
-
-  /// True when the observation is flagged as an attack.
-  bool is_attack(const math::Matrix& features,
-                 std::size_t expected_label) const;
-
-  /// Scores a mixed benign/attacked set and reports detection quality.
-  DetectionReport evaluate(const std::vector<Observation>& observations) const;
-
-  /// The underlying immutable scoring model — shared with streaming
-  /// detectors (security::StreamDetector) so batch and online paths score
-  /// through the very same estimators.
-  std::shared_ptr<const ScoringModel> scoring_model() const { return model_; }
-
- private:
-  std::shared_ptr<const ScoringModel> model_;
-  double threshold_ = 0.0;
-  bool calibrated_ = false;
-};
+/// Scores a mixed benign/attacked set through a StreamDetector with
+/// `threshold` and consecutive_to_alarm = 1, and reports detection quality.
+DetectionReport evaluate(std::shared_ptr<const ScoringModel> model,
+                         double threshold,
+                         const std::vector<Observation>& observations);
 
 }  // namespace gansec::security

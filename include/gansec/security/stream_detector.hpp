@@ -1,9 +1,9 @@
 // Streaming form of the Algorithm 3 detector: an immutable, shareable
 // scoring model plus a per-stream verdict state machine.
 //
-// The batch AttackDetector scores a held-out table once; the online
-// monitor scores an unbounded sequence of windows per machine stream. The
-// split here makes that safe and cheap:
+// The batch evaluate() (detector.hpp) scores a held-out table once; the
+// online monitor scores an unbounded sequence of windows per machine
+// stream. Both run through the types here, which make that safe and cheap:
 //
 //   * ScoringModel holds the per-(condition, feature) Parzen estimators
 //     sampled from the trained generator. It is immutable after
@@ -14,8 +14,8 @@
 //   * StreamDetector is the per-stream state machine: it owns nothing but
 //     a reference to the current model, a calibrated threshold and the
 //     consecutive-anomaly run length, and emits one integrity /
-//     availability verdict per window. Scores are bit-identical to
-//     AttackDetector::score on the same feature rows.
+//     availability verdict per window. score_window holds the one alarm
+//     rule (score < threshold) in the codebase.
 #pragma once
 
 #include <cstdint>
@@ -29,24 +29,25 @@
 namespace gansec::security {
 
 /// Immutable per-(condition, feature) Parzen scoring model sampled from a
-/// trained CGAN generator. Construction replays the exact sampling
-/// sequence of the batch AttackDetector (same RNG stream, same order), so
-/// both paths score identically.
+/// trained CGAN generator. Construction is deterministic in (model,
+/// config, seed), so two models built alike score identically.
 class ScoringModel {
  public:
   ScoringModel(gan::Cgan& model, DetectorConfig config,
                std::uint64_t seed = 0xDE7EC7);
 
-  /// Floor for per-feature log-likelihood contributions (matches
-  /// AttackDetector::kLogFloor).
+  /// Floor for per-feature log-likelihood contributions, so a single wild
+  /// feature cannot dominate calibration.
   static constexpr double kLogFloor = -50.0;
 
   /// Mean floored per-feature log-likelihood of a scaled feature row under
-  /// the expected condition. `count` must equal data_dim(). No allocation.
+  /// the expected condition (higher = more plausibly benign). `count` must
+  /// equal data_dim(). No allocation.
   double score(const float* features, std::size_t count,
                std::size_t expected_label) const;
 
-  /// Matrix-row form used by the batch detector (same values as score()).
+  /// Matrix-row form: checks that `features` is a single row, then
+  /// returns score().
   double score_row(const math::Matrix& features,
                    std::size_t expected_label) const;
 
@@ -81,7 +82,7 @@ const char* stream_verdict_name(StreamVerdict verdict);
 
 struct StreamDetectorConfig {
   /// Alarm threshold: a window is anomalous when score < threshold
-  /// (calibrate like AttackDetector: a low percentile of benign scores).
+  /// (calibrate_threshold: a low percentile of benign scores).
   double threshold = 0.0;
   /// Mean scaled feature level below which an anomalous window is
   /// classified as an availability attack instead of an integrity attack.
@@ -89,12 +90,12 @@ struct StreamDetectorConfig {
   /// per-bin training minima, so its mean is close to zero.
   double availability_floor = 0.05;
   /// Windows that must score anomalous in a row before a verdict fires
-  /// (1 = alarm on every anomalous window, matching the batch detector).
+  /// (1 = alarm on every anomalous window, as the batch evaluate() runs).
   std::size_t consecutive_to_alarm = 1;
 };
 
-/// One scored window. `score` is bit-identical to the batch
-/// AttackDetector::score on the same feature row.
+/// One scored window. `score` is ScoringModel::score of the window's
+/// scaled feature row.
 struct WindowVerdict {
   std::uint64_t sequence = 0;     ///< windows seen by this stream so far - 1
   double score = 0.0;             ///< mean floored log-likelihood

@@ -1,9 +1,5 @@
 #include "gansec/gan/cgan.hpp"
 
-#include <fstream>
-#include <istream>
-#include <ostream>
-
 #include "gansec/error.hpp"
 #include "gansec/math/kernels.hpp"
 #include "gansec/math/workspace.hpp"
@@ -11,7 +7,6 @@
 #include "gansec/nn/batchnorm.hpp"
 #include "gansec/nn/dense.hpp"
 #include "gansec/nn/dropout.hpp"
-#include "gansec/nn/serialize.hpp"
 
 namespace gansec::gan {
 
@@ -163,69 +158,6 @@ Matrix Cgan::discriminate(const Matrix& data, const Matrix& conditions) {
                             topology_.data_dim + topology_.cond_dim);
   math::hstack_into(d_in, data, conditions);
   return discriminator_.forward(d_in, /*training=*/false);
-}
-
-void Cgan::save(std::ostream& os) const {
-  os.precision(9);  // exact float round trip
-  os << "gansec-cgan 2\n";
-  os << topology_.data_dim << ' ' << topology_.cond_dim << ' '
-     << topology_.noise_dim << ' ' << topology_.leaky_slope << ' '
-     << topology_.discriminator_dropout << ' '
-     << (topology_.generator_batchnorm ? 1 : 0) << '\n';
-  os << topology_.generator_hidden.size();
-  for (std::size_t h : topology_.generator_hidden) os << ' ' << h;
-  os << '\n';
-  os << topology_.discriminator_hidden.size();
-  for (std::size_t h : topology_.discriminator_hidden) os << ' ' << h;
-  os << '\n';
-  nn::save_mlp(generator_, os);
-  nn::save_mlp(discriminator_, os);
-}
-
-Cgan Cgan::load(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic >> version) || magic != "gansec-cgan" ||
-      (version != 1 && version != 2)) {
-    throw ParseError("Cgan::load: bad header");
-  }
-  CganTopology t;
-  if (!(is >> t.data_dim >> t.cond_dim >> t.noise_dim >> t.leaky_slope >>
-        t.discriminator_dropout)) {
-    throw ParseError("Cgan::load: malformed topology line");
-  }
-  if (version >= 2) {
-    int batchnorm = 0;
-    if (!(is >> batchnorm)) {
-      throw ParseError("Cgan::load: malformed topology line (v2)");
-    }
-    t.generator_batchnorm = batchnorm != 0;
-  }
-  auto read_hidden = [&is](std::vector<std::size_t>& out) {
-    std::size_t n = 0;
-    if (!(is >> n)) throw ParseError("Cgan::load: malformed hidden list");
-    out.resize(n);
-    for (std::size_t& h : out) {
-      if (!(is >> h)) throw ParseError("Cgan::load: malformed hidden list");
-    }
-  };
-  read_hidden(t.generator_hidden);
-  read_hidden(t.discriminator_hidden);
-  nn::Mlp g = nn::load_mlp(is);
-  nn::Mlp d = nn::load_mlp(is);
-  return Cgan(std::move(t), std::move(g), std::move(d));
-}
-
-void Cgan::save_file(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) throw IoError("Cgan::save_file: cannot open '" + path + "'");
-  save(os);
-}
-
-Cgan Cgan::load_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw IoError("Cgan::load_file: cannot open '" + path + "'");
-  return load(is);
 }
 
 }  // namespace gansec::gan

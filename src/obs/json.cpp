@@ -48,196 +48,6 @@ std::string json_number(double value) {
   return out;
 }
 
-namespace {
-
-// Recursive-descent RFC 8259 validator.
-class Validator {
- public:
-  explicit Validator(std::string_view text) : text_(text) {}
-
-  bool run(std::string* error) {
-    skip_ws();
-    if (!value()) return fail(error);
-    skip_ws();
-    if (pos_ != text_.size()) {
-      reason_ = "trailing characters after value";
-      return fail(error);
-    }
-    return true;
-  }
-
- private:
-  bool fail(std::string* error) const {
-    if (error) {
-      *error = reason_.empty() ? "invalid JSON" : reason_;
-      *error += " at byte " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  bool eof() const { return pos_ >= text_.size(); }
-  char peek() const { return text_[pos_]; }
-
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                      peek() == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      reason_ = "bad literal";
-      return false;
-    }
-    pos_ += word.size();
-    return true;
-  }
-
-  bool value() {
-    if (depth_ > 512) {
-      reason_ = "nesting too deep";
-      return false;
-    }
-    if (eof()) {
-      reason_ = "unexpected end of input";
-      return false;
-    }
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++depth_;
-    ++pos_;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') { ++pos_; --depth_; return true; }
-    while (true) {
-      skip_ws();
-      if (eof() || peek() != '"') {
-        reason_ = "expected object key";
-        return false;
-      }
-      if (!string()) return false;
-      skip_ws();
-      if (eof() || peek() != ':') {
-        reason_ = "expected ':'";
-        return false;
-      }
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (!eof() && peek() == ',') { ++pos_; continue; }
-      if (!eof() && peek() == '}') { ++pos_; --depth_; return true; }
-      reason_ = "expected ',' or '}'";
-      return false;
-    }
-  }
-
-  bool array() {
-    ++depth_;
-    ++pos_;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') { ++pos_; --depth_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (!eof() && peek() == ',') { ++pos_; continue; }
-      if (!eof() && peek() == ']') { ++pos_; --depth_; return true; }
-      reason_ = "expected ',' or ']'";
-      return false;
-    }
-  }
-
-  bool string() {
-    ++pos_;  // '"'
-    while (!eof()) {
-      const unsigned char c = static_cast<unsigned char>(peek());
-      if (c == '"') { ++pos_; return true; }
-      if (c < 0x20) {
-        reason_ = "raw control character in string";
-        return false;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (eof()) break;
-        const char esc = peek();
-        if (esc == 'u') {
-          ++pos_;
-          for (int i = 0; i < 4; ++i, ++pos_) {
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(peek()))) {
-              reason_ = "bad \\u escape";
-              return false;
-            }
-          }
-          continue;
-        }
-        if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-            esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          reason_ = "bad escape";
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    reason_ = "unterminated string";
-    return false;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-      reason_ = "expected value";
-      pos_ = start;
-      return false;
-    }
-    if (peek() == '0') {
-      ++pos_;
-    } else {
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-        reason_ = "digit required after '.'";
-        return false;
-      }
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-        reason_ = "digit required in exponent";
-        return false;
-      }
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::string reason_;
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text, std::string* error) {
-  return Validator(text).run(error);
-}
-
 bool JsonValue::as_bool() const {
   if (kind_ != Kind::kBool) {
     throw InvalidArgumentError("JsonValue: not a bool");
@@ -330,9 +140,8 @@ JsonValue JsonValue::make_object(std::vector<Member> members) {
 
 namespace {
 
-// Recursive-descent DOM parser. Grammar handling mirrors the Validator
-// above; errors throw ParseError with the byte offset instead of
-// returning false.
+// Recursive-descent RFC 8259 DOM parser; errors throw ParseError with the
+// byte offset. json_valid() is this parser with the error caught.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -558,6 +367,16 @@ class Parser {
 }  // namespace
 
 JsonValue parse_json(std::string_view text) { return Parser(text).run(); }
+
+bool json_valid(std::string_view text, std::string* error) {
+  try {
+    parse_json(text);
+  } catch (const ParseError& e) {
+    if (error != nullptr) *error = e.what();
+    return false;
+  }
+  return true;
+}
 
 JsonValue parse_json_file(const std::string& path) {
   std::ifstream is(path);

@@ -1,63 +1,44 @@
 #include "gansec/security/detector.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "gansec/error.hpp"
 #include "gansec/math/stats.hpp"
 #include "gansec/obs/flight_recorder.hpp"
 #include "gansec/security/stream_detector.hpp"
+#include "gansec/stats/metrics.hpp"
 
 namespace gansec::security {
 
-using math::Matrix;
-
-AttackDetector::AttackDetector(gan::Cgan& model, DetectorConfig config,
-                               std::uint64_t seed)
-    : model_(std::make_shared<ScoringModel>(model, std::move(config), seed)) {}
-
-double AttackDetector::score(const Matrix& features,
-                             std::size_t expected_label) const {
-  return model_->score_row(features, expected_label);
-}
-
-void AttackDetector::calibrate(const std::vector<Observation>& benign) {
+double calibrate_threshold(const ScoringModel& model,
+                           const std::vector<Observation>& benign) {
   if (benign.empty()) {
-    throw InvalidArgumentError(
-        "AttackDetector::calibrate: empty benign set");
+    throw InvalidArgumentError("calibrate_threshold: empty benign set");
   }
   std::vector<double> scores;
   scores.reserve(benign.size());
   for (const Observation& obs : benign) {
     if (obs.attack != AttackKind::kNone) {
       throw InvalidArgumentError(
-          "AttackDetector::calibrate: calibration set must be benign");
+          "calibrate_threshold: calibration set must be benign");
     }
-    scores.push_back(score(obs.features, obs.expected_label));
+    scores.push_back(model.score_row(obs.features, obs.expected_label));
   }
-  threshold_ = math::percentile(std::move(scores),
-                                model_->config().false_alarm_percentile);
-  calibrated_ = true;
+  return math::percentile(std::move(scores),
+                          model.config().false_alarm_percentile);
 }
 
-double AttackDetector::threshold() const {
-  if (!calibrated_) {
-    throw InvalidArgumentError("AttackDetector: calibrate() first");
-  }
-  return threshold_;
-}
-
-bool AttackDetector::is_attack(const Matrix& features,
-                               std::size_t expected_label) const {
-  return score(features, expected_label) < threshold();
-}
-
-DetectionReport AttackDetector::evaluate(
-    const std::vector<Observation>& observations) const {
+DetectionReport evaluate(std::shared_ptr<const ScoringModel> model,
+                         double threshold,
+                         const std::vector<Observation>& observations) {
   if (observations.empty()) {
-    throw InvalidArgumentError("AttackDetector::evaluate: empty set");
+    throw InvalidArgumentError("evaluate: empty set");
   }
   const obs::flight::PhaseMark phase("security.evaluate");
+  StreamDetectorConfig config;
+  config.threshold = threshold;
+  config.consecutive_to_alarm = 1;
+  StreamDetector detector(std::move(model), config);
   DetectionReport report;
   std::vector<double> attack_scores;  // higher = more suspicious
   std::vector<bool> attack_labels;
@@ -65,10 +46,14 @@ DetectionReport AttackDetector::evaluate(
   std::size_t true_pos = 0;
   std::size_t false_pos = 0;
   for (const Observation& obs : observations) {
+    if (obs.features.rows() != 1) {
+      throw DimensionError("evaluate: expected single-row observations");
+    }
     const bool attacked = obs.attack != AttackKind::kNone;
-    const double s = score(obs.features, obs.expected_label);
-    const bool flagged = s < threshold();
-    attack_scores.push_back(-s);
+    const WindowVerdict verdict = detector.score_window(
+        obs.features.data(), obs.features.cols(), obs.expected_label);
+    const bool flagged = verdict.verdict != StreamVerdict::kBenign;
+    attack_scores.push_back(-verdict.score);
     attack_labels.push_back(attacked);
     if (attacked) {
       ++report.attacked;

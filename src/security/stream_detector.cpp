@@ -41,8 +41,8 @@ ScoringModel::ScoringModel(gan::Cgan& model, DetectorConfig config,
     }
   }
 
-  // Replays the batch AttackDetector sampling sequence exactly: one RNG
-  // stream, conditions in order, features in scoring order.
+  // One RNG stream, conditions in order, features in scoring order: the
+  // same (model, config, seed) always yields the same estimators.
   const std::size_t gsize = config_.generator_samples;
   samples_.resize(conditions_ * indices_.size() * gsize);
   math::Rng rng(seed);
@@ -89,22 +89,7 @@ double ScoringModel::score_row(const Matrix& features,
   if (features.rows() != 1) {
     throw DimensionError("ScoringModel::score_row: expected a single row");
   }
-  if (expected_label >= conditions_) {
-    throw InvalidArgumentError("ScoringModel::score_row: label out of range");
-  }
-  if (features.cols() != data_dim_) {
-    throw DimensionError("ScoringModel::score_row: feature width mismatch");
-  }
-  // Same operations in the same order as score(): float -> double cast,
-  // floored log-density, serial accumulation.
-  const stats::ParzenScorer* per = &scorers_[expected_label * indices_.size()];
-  double acc = 0.0;
-  for (std::size_t fpos = 0; fpos < indices_.size(); ++fpos) {
-    const double log_like = per[fpos].log_density(
-        static_cast<double>(features(0, indices_[fpos])));
-    acc += std::max(log_like, kLogFloor);
-  }
-  return acc / static_cast<double>(indices_.size());
+  return score(features.data(), features.cols(), expected_label);
 }
 
 const char* stream_verdict_name(StreamVerdict verdict) {

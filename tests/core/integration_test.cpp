@@ -2,11 +2,15 @@
 // detection and model persistence, at reduced scale.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
+#include <memory>
+#include <string>
 
 #include "gansec/core/pipeline.hpp"
+#include "gansec/model/serialize.hpp"
 #include "gansec/security/detector.hpp"
 #include "gansec/security/report.hpp"
+#include "gansec/security/stream_detector.hpp"
 
 namespace gansec::core {
 namespace {
@@ -42,6 +46,18 @@ class IntegrationTest : public ::testing::Test {
 
 GanSecPipeline* IntegrationTest::pipeline_ = nullptr;
 PipelineResult* IntegrationTest::result_ = nullptr;
+
+/// Saves `original` as a gansec.model.v1 checkpoint file and loads it back.
+gan::Cgan reload(const gan::Cgan& original) {
+  const std::string path =
+      ::testing::TempDir() + "/gansec_integration_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".gsm";
+  model::save_cgan_checkpoint(original, path);
+  gan::Cgan loaded = model::load_cgan_checkpoint_file(path);
+  std::remove(path.c_str());
+  return loaded;
+}
 
 TEST_F(IntegrationTest, TrainingReachesAdversarialBalance) {
   // Late in training the discriminator must be neither collapsed (fakes
@@ -83,28 +99,27 @@ TEST_F(IntegrationTest, ConfidentialityBreachDetected) {
 TEST_F(IntegrationTest, AttackDetectionEndToEnd) {
   security::DetectorConfig det_config;
   det_config.generator_samples = 96;
-  security::AttackDetector detector(result_->model, det_config);
+  const auto scoring = std::make_shared<const security::ScoringModel>(
+      result_->model, det_config);
   security::AttackInjector injector(pipeline_->builder(), 7);
-  detector.calibrate(
-      injector.generate(20, 0.0, security::AttackKind::kNone));
+  const double threshold = security::calibrate_threshold(
+      *scoring, injector.generate(20, 0.0, security::AttackKind::kNone));
 
   const auto availability =
       injector.generate(15, 0.6, security::AttackKind::kAvailability);
   const security::DetectionReport avail_report =
-      detector.evaluate(availability);
+      security::evaluate(scoring, threshold, availability);
   EXPECT_GT(avail_report.auc, 0.8);
 
   const auto integrity =
       injector.generate(15, 0.6, security::AttackKind::kIntegrity);
   const security::DetectionReport integ_report =
-      detector.evaluate(integrity);
+      security::evaluate(scoring, threshold, integrity);
   EXPECT_GT(integ_report.auc, 0.55);
 }
 
 TEST_F(IntegrationTest, ModelPersistenceRoundTrip) {
-  std::stringstream ss;
-  result_->model.save(ss);
-  gan::Cgan loaded = gan::Cgan::load(ss);
+  gan::Cgan loaded = reload(result_->model);
   // The reloaded generator must reproduce the original's behaviour exactly.
   math::Rng rng_a(3);
   math::Rng rng_b(3);
@@ -115,9 +130,7 @@ TEST_F(IntegrationTest, ModelPersistenceRoundTrip) {
 }
 
 TEST_F(IntegrationTest, ReloadedModelSupportsAnalysis) {
-  std::stringstream ss;
-  result_->model.save(ss);
-  gan::Cgan loaded = gan::Cgan::load(ss);
+  gan::Cgan loaded = reload(result_->model);
   security::LikelihoodConfig config;
   config.generator_samples = 48;
   config.feature_indices = {0, 6, 12};

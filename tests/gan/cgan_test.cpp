@@ -2,15 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "gansec/error.hpp"
+#include "gansec/model/serialize.hpp"
 
 namespace gansec::gan {
 namespace {
 
 using math::Matrix;
 using math::Rng;
+
+/// In-memory gansec.model.v1 round trip.
+Cgan round_trip(const Cgan& original) {
+  return gansec::model::load_cgan_checkpoint(
+      gansec::model::CheckpointReader::from_bytes(
+          gansec::model::make_cgan_writer(original).to_bytes()));
+}
 
 CganTopology small_topology() {
   CganTopology t;
@@ -169,9 +177,7 @@ TEST(Cgan, GeneratorBatchnormTopology) {
   }
   // Round trip preserves the flag and behaviour.
   Cgan model(t, 77);
-  std::stringstream ss;
-  model.save(ss);
-  Cgan loaded = Cgan::load(ss);
+  Cgan loaded = round_trip(model);
   EXPECT_TRUE(loaded.topology().generator_batchnorm);
   Matrix cond(1, 3, 0.0F);
   cond(0, 0) = 1.0F;
@@ -181,31 +187,9 @@ TEST(Cgan, GeneratorBatchnormTopology) {
             loaded.generate_for_condition(cond, 4, rb));
 }
 
-TEST(Cgan, LoadsVersion1Files) {
-  // Version-1 files (written before the batchnorm flag) must still load,
-  // defaulting the flag to off.
-  Cgan model(small_topology(), 11);
-  std::stringstream ss;
-  model.save(ss);
-  std::string text = ss.str();
-  const auto pos = text.find("gansec-cgan 2");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 13, "gansec-cgan 1");
-  // Drop the trailing " 0" batchnorm field from the topology line.
-  const auto line_end = text.find('\n', text.find('\n') + 1);
-  const auto field_pos = text.rfind(" 0", line_end);
-  ASSERT_NE(field_pos, std::string::npos);
-  text.erase(field_pos, 2);
-  std::stringstream v1(text);
-  Cgan loaded = Cgan::load(v1);
-  EXPECT_FALSE(loaded.topology().generator_batchnorm);
-}
-
 TEST(Cgan, SaveLoadRoundTrip) {
   Cgan model(small_topology(), 11);
-  std::stringstream ss;
-  model.save(ss);
-  Cgan loaded = Cgan::load(ss);
+  Cgan loaded = round_trip(model);
   EXPECT_EQ(loaded.topology().data_dim, 6U);
   EXPECT_EQ(loaded.topology().cond_dim, 3U);
   Matrix cond(1, 3, 0.0F);
@@ -217,12 +201,17 @@ TEST(Cgan, SaveLoadRoundTrip) {
 }
 
 TEST(Cgan, LoadBadHeaderThrows) {
-  std::stringstream ss("wrong 1\n");
-  EXPECT_THROW(Cgan::load(ss), ParseError);
+  std::string bytes = gansec::model::make_cgan_writer(
+                          Cgan(small_topology(), 11)).to_bytes();
+  bytes.replace(0, 5, "wrong");
+  EXPECT_THROW(gansec::model::load_cgan_checkpoint(
+                   gansec::model::CheckpointReader::from_bytes(bytes)),
+               ParseError);
 }
 
 TEST(Cgan, LoadMissingFileThrows) {
-  EXPECT_THROW(Cgan::load_file("/nonexistent/cgan.txt"), IoError);
+  EXPECT_THROW(gansec::model::load_cgan_checkpoint_file("/nonexistent/m.gsm"),
+               IoError);
 }
 
 }  // namespace

@@ -260,6 +260,9 @@ TEST(CheckpointFile, MissingFileThrowsIoError) {
   EXPECT_THROW(
       CheckpointReader::from_file("/nonexistent/gansec/model.gsm"),
       IoError);
+  EXPECT_THROW(
+      CheckpointWriter("mlp").write_file("/nonexistent/gansec/model.gsm"),
+      IoError);
 }
 
 }  // namespace

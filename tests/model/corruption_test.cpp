@@ -16,6 +16,7 @@
 #include "gansec/math/matrix.hpp"
 #include "gansec/model/checkpoint.hpp"
 #include "gansec/model/serialize.hpp"
+#include "gansec/nn/activations.hpp"
 #include "gansec/nn/dense.hpp"
 #include "gansec/nn/mlp.hpp"
 
@@ -194,6 +195,19 @@ TEST(Corruption, ChecksumCleanMissingTensorFailsInLoader) {
   EXPECT_THROW(load_mlp_checkpoint(reader), ParseError);
 }
 
+TEST(Corruption, ChecksumCleanUnknownLayerKindFailsInLoader) {
+  // A layer kind this build does not know fails typed; it is never
+  // skipped or misread as another kind.
+  nn::Mlp mlp;
+  mlp.emplace<nn::Relu>();
+  CheckpointWriter writer("mlp");
+  add_mlp(writer, mlp, "");
+  const std::string mutant = patch_meta(
+      writer.to_bytes(), "\"kind\":\"relu\"", "\"kind\":\"rexu\"");
+  const CheckpointReader reader = CheckpointReader::from_bytes(mutant);
+  EXPECT_THROW(load_mlp_checkpoint(reader), ParseError);
+}
+
 TEST(Corruption, HeaderOnlyFileFailsTyped) {
   // 64 valid-looking header bytes and nothing else: meta is out of range.
   std::string mutant = fixture_bytes().substr(0, kHeaderBytes);
@@ -201,7 +215,8 @@ TEST(Corruption, HeaderOnlyFileFailsTyped) {
 }
 
 TEST(Corruption, TextModelFileFailsTyped) {
-  // The legacy text format must be rejected by magic, not misparsed.
+  // A text file (e.g. a model in the retired text format) is rejected by
+  // magic, not misparsed.
   const std::string text = "gansec-cgan-v1\n4 2 3\n";
   EXPECT_THROW(CheckpointReader::from_bytes(text), Error);
 }

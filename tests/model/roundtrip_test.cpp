@@ -68,8 +68,11 @@ nn::Mlp zoo_mlp() {
   mlp.emplace<nn::LeakyRelu>(0.1F);
   mlp.emplace<nn::BatchNorm>(8, 0.2F);
   mlp.emplace<nn::Dropout>(0.25F, 0xD0D0U);
-  mlp.emplace<nn::Dense>(8, 3, nn::InitScheme::kXavierUniform);
+  mlp.emplace<nn::Dense>(8, 6, nn::InitScheme::kXavierUniform);
+  mlp.emplace<nn::Relu>();
+  mlp.emplace<nn::Dense>(6, 3, nn::InitScheme::kXavierUniform);
   mlp.emplace<nn::Tanh>();
+  mlp.emplace<nn::Sigmoid>();
   math::Rng rng(0x6E44U);
   mlp.init_weights(rng);
   // Advance running stats and the dropout cursor past their initial state
@@ -108,6 +111,9 @@ TEST(MlpRoundTrip, WeightsAndForwardAreBitIdentical) {
   nn::Mlp loaded = load_mlp_checkpoint_file(path);
 
   expect_mlp_weights_identical(original, loaded);
+  for (std::size_t i = 0; i < original.layer_count(); ++i) {
+    EXPECT_EQ(loaded.layer(i).kind(), original.layer(i).kind()) << i;
+  }
 
   math::Rng rng(0x1234U);
   const math::Matrix input = rng.normal_matrix(5, 4, 0.0F, 1.0F);
@@ -129,6 +135,12 @@ TEST(MlpRoundTrip, InMemoryBytesMatchFileBytes) {
   const CheckpointReader reader = CheckpointReader::from_file(path);
   nn::Mlp loaded = load_mlp_checkpoint(reader);
   expect_mlp_weights_identical(original, loaded);
+}
+
+TEST(MlpRoundTrip, EmptyNetworkRoundTrips) {
+  const std::string path = temp_path("empty.gsm");
+  save_mlp_checkpoint(nn::Mlp{}, path);
+  EXPECT_EQ(load_mlp_checkpoint_file(path).layer_count(), 0U);
 }
 
 TEST(CganRoundTrip, GenerateViewBitIdenticalAcrossThreadCounts) {

@@ -3,11 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "gansec/error.hpp"
 #include "gansec/math/rng.hpp"
-#include "gansec/nn/serialize.hpp"
+#include "gansec/model/serialize.hpp"
 
 namespace gansec::nn {
 namespace {
@@ -168,9 +167,10 @@ TEST(BatchNorm, SerializeRoundTrip) {
   net.emplace<BatchNorm>(3, 0.2F, 1e-4F);
   dynamic_cast<BatchNorm&>(net.layer(0))
       .forward(rng.normal_matrix(64, 3, 2.0F, 1.5F), true);
-  std::stringstream ss;
-  save_mlp(net, ss);
-  Mlp loaded = load_mlp(ss);
+  model::CheckpointWriter writer("mlp");
+  model::add_mlp(writer, net, "");
+  Mlp loaded = model::load_mlp_checkpoint(
+      model::CheckpointReader::from_bytes(writer.to_bytes()));
   const auto& bn = dynamic_cast<const BatchNorm&>(loaded.layer(0));
   EXPECT_FLOAT_EQ(bn.momentum(), 0.2F);
   EXPECT_FLOAT_EQ(bn.eps(), 1e-4F);

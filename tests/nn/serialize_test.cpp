@@ -1,12 +1,15 @@
-#include "gansec/nn/serialize.hpp"
-
+// MLP serialization through gansec.model.v1 "mlp" checkpoints: in-memory
+// and file round trips preserve outputs and layer hyperparameters, and
+// file I/O failures surface as IoError.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <sstream>
+#include <string>
 
 #include "gansec/error.hpp"
 #include "gansec/math/rng.hpp"
+#include "gansec/model/checkpoint.hpp"
+#include "gansec/model/serialize.hpp"
 #include "gansec/nn/activations.hpp"
 #include "gansec/nn/dense.hpp"
 #include "gansec/nn/dropout.hpp"
@@ -32,12 +35,19 @@ Mlp make_full_net(Rng& rng) {
   return net;
 }
 
+/// Round trip through checkpoint bytes, without touching the filesystem.
+Mlp round_trip_in_memory(const Mlp& net) {
+  model::CheckpointWriter writer("mlp");
+  model::add_mlp(writer, net, "");
+  const model::CheckpointReader reader =
+      model::CheckpointReader::from_bytes(writer.to_bytes());
+  return model::load_mlp_checkpoint(reader);
+}
+
 TEST(Serialize, RoundTripPreservesOutputs) {
   Rng rng(13);
   Mlp net = make_full_net(rng);
-  std::stringstream ss;
-  save_mlp(net, ss);
-  Mlp loaded = load_mlp(ss);
+  Mlp loaded = round_trip_in_memory(net);
   ASSERT_EQ(loaded.layer_count(), net.layer_count());
   const Matrix x = rng.normal_matrix(4, 3, 0.0F, 1.0F);
   EXPECT_EQ(net.forward(x, false), loaded.forward(x, false));
@@ -46,9 +56,8 @@ TEST(Serialize, RoundTripPreservesOutputs) {
 TEST(Serialize, RoundTripPreservesLayerKinds) {
   Rng rng(17);
   Mlp net = make_full_net(rng);
-  std::stringstream ss;
-  save_mlp(net, ss);
-  Mlp loaded = load_mlp(ss);
+  Mlp loaded = round_trip_in_memory(net);
+  ASSERT_EQ(loaded.layer_count(), net.layer_count());
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
     EXPECT_EQ(loaded.layer(i).kind(), net.layer(i).kind()) << "layer " << i;
   }
@@ -59,59 +68,23 @@ TEST(Serialize, RoundTripPreservesLayerKinds) {
   EXPECT_EQ(dropout.seed(), 42U);
 }
 
-TEST(Serialize, BadMagicThrows) {
-  std::stringstream ss("not-a-model 1\n");
-  EXPECT_THROW(load_mlp(ss), ParseError);
-}
-
-TEST(Serialize, BadVersionThrows) {
-  std::stringstream ss("gansec-mlp 999\nlayers 0\nend\n");
-  EXPECT_THROW(load_mlp(ss), ParseError);
-}
-
-TEST(Serialize, TruncatedStreamThrows) {
-  Rng rng(19);
-  Mlp net = make_full_net(rng);
-  std::stringstream ss;
-  save_mlp(net, ss);
-  const std::string full = ss.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(load_mlp(truncated), Error);
-}
-
-TEST(Serialize, UnknownLayerKindThrows) {
-  std::stringstream ss("gansec-mlp 1\nlayers 1\nconv2d\nend\n");
-  EXPECT_THROW(load_mlp(ss), ParseError);
-}
-
-TEST(Serialize, MissingEndThrows) {
-  std::stringstream ss("gansec-mlp 1\nlayers 1\nrelu\n");
-  EXPECT_THROW(load_mlp(ss), ParseError);
-}
-
-TEST(Serialize, EmptyNetworkRoundTrips) {
-  Mlp net;
-  std::stringstream ss;
-  save_mlp(net, ss);
-  Mlp loaded = load_mlp(ss);
-  EXPECT_EQ(loaded.layer_count(), 0U);
-}
-
 TEST(Serialize, FileRoundTrip) {
   Rng rng(23);
   Mlp net = make_full_net(rng);
-  const std::string path = ::testing::TempDir() + "/gansec_mlp_test.txt";
-  save_mlp_file(net, path);
-  Mlp loaded = load_mlp_file(path);
+  const std::string path = ::testing::TempDir() + "/gansec_mlp_test.gsm";
+  model::save_mlp_checkpoint(net, path);
+  Mlp loaded = model::load_mlp_checkpoint_file(path);
   const Matrix x = rng.normal_matrix(2, 3, 0.0F, 1.0F);
   EXPECT_EQ(net.forward(x, false), loaded.forward(x, false));
   std::remove(path.c_str());
 }
 
 TEST(Serialize, MissingFileThrows) {
-  EXPECT_THROW(load_mlp_file("/nonexistent/dir/model.txt"), IoError);
+  EXPECT_THROW(model::load_mlp_checkpoint_file("/nonexistent/dir/model.gsm"),
+               IoError);
   Mlp net;
-  EXPECT_THROW(save_mlp_file(net, "/nonexistent/dir/model.txt"), IoError);
+  EXPECT_THROW(model::save_mlp_checkpoint(net, "/nonexistent/dir/model.gsm"),
+               IoError);
 }
 
 }  // namespace

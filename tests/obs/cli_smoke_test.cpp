@@ -1,13 +1,17 @@
-// Tier-1 smoke test: drives the real gansec CLI binary with the full
-// observability flag set and validates every emitted artifact — JSON-lines
-// logs on stderr, a chrome://tracing span file, and a metrics snapshot.
+// Tier-1 smoke tests: drive the real gansec CLI binary with the full
+// observability flag set and validate every emitted artifact — JSON-lines
+// logs on stderr, a chrome://tracing span file, and a metrics snapshot —
+// and run train followed by analyze/detect on the persisted checkpoint.
 //
 // The binary path is injected at configure time via GANSEC_CLI_PATH so the
 // test works from any build directory.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -104,6 +108,52 @@ TEST(CliSmoke, SweepWithFullObservability) {
   std::remove(metrics_path.c_str());
   std::remove(log_path.c_str());
   std::remove(out_path.c_str());
+}
+
+TEST(CliSmoke, TrainWritesCheckpointThatAnalyzeAndDetectLoad) {
+  namespace fs = std::filesystem;
+  const fs::path dir = temp_path("gansec_smoke_persist");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string cli = GANSEC_CLI_PATH;
+  const std::string model = (dir / "m.cgan").string();
+  const std::string quiet = " > /dev/null 2>&1";
+
+  // The extension does not matter: every model is a gansec.model.v1
+  // checkpoint.
+  const std::string train = cli +
+                            " train --samples 6 --bins 8 --window 0.05"
+                            " --iterations 4 --model " + model + quiet;
+  ASSERT_EQ(std::system(train.c_str()), 0) << train;
+  EXPECT_EQ(read_file(model).substr(0, 8), "GANSECM1");
+
+  const std::string reuse = " --model " + model + " --samples 6 --window 0.05";
+  const std::string analyze = cli + " analyze" + reuse + quiet;
+  EXPECT_EQ(std::system(analyze.c_str()), 0) << analyze;
+  const std::string detect_out = (dir / "detect.txt").string();
+  const std::string detect = cli + " detect" + reuse + " > " + detect_out +
+                             " 2> /dev/null";
+  EXPECT_EQ(std::system(detect.c_str()), 0) << detect;
+  EXPECT_NE(read_file(detect_out).find("integrity attacks:"),
+            std::string::npos);
+
+  // A text file is not a model: the checkpoint reader rejects it.
+  const std::string text_model = (dir / "text.cgan").string();
+  {
+    std::ofstream os(text_model);
+    os << "gansec-cgan 2\n8 3 16 0.2 0 0\n2 32 32\n2 32 32\n"
+          "gansec-mlp 1\nlayers 0\nend\n";
+  }
+  const std::string err_path = (dir / "err.txt").string();
+  const std::string rejected = cli + " detect --model " + text_model +
+                               " > /dev/null 2> " + err_path;
+  const int rc = std::system(rejected.c_str());
+  ASSERT_TRUE(WIFEXITED(rc)) << rejected;
+  EXPECT_EQ(WEXITSTATUS(rc), 1) << rejected;
+  EXPECT_NE(read_file(err_path).find("checkpoint: bad magic"),
+            std::string::npos);
+
+  fs::remove_all(dir);
 }
 
 }  // namespace

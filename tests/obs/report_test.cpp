@@ -55,13 +55,13 @@ TEST(JsonParse, UnicodeEscapes) {
 }
 
 TEST(JsonParse, RejectsMalformedInput) {
-  EXPECT_THROW(obs::parse_json(""), ParseError);
-  EXPECT_THROW(obs::parse_json("{"), ParseError);
-  EXPECT_THROW(obs::parse_json("[1,]"), ParseError);
-  EXPECT_THROW(obs::parse_json("{\"a\":1} trailing"), ParseError);
-  EXPECT_THROW(obs::parse_json("01"), ParseError);
-  EXPECT_THROW(obs::parse_json("\"unterminated"), ParseError);
-  EXPECT_THROW(obs::parse_json("nul"), ParseError);
+  for (const char* bad : {"", "{", "[1,]", "{\"a\":1} trailing", "01",
+                          "\"unterminated", "nul"}) {
+    EXPECT_THROW(obs::parse_json(bad), ParseError) << bad;
+    std::string error;
+    EXPECT_FALSE(obs::json_valid(bad, &error)) << bad;
+    EXPECT_NE(error.find("at byte"), std::string::npos) << bad << ": " << error;
+  }
 }
 
 TEST(JsonParse, TypeMismatchThrows) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "gansec/error.hpp"
+#include "gansec/security/stream_detector.hpp"
 #include "test_fixture.hpp"
 
 namespace gansec::security {
@@ -16,121 +19,118 @@ DetectorConfig fast_config() {
   return config;
 }
 
+std::shared_ptr<const ScoringModel> scoring_model(
+    const DetectorConfig& config = fast_config()) {
+  return std::make_shared<const ScoringModel>(trained_setup().model, config);
+}
+
 TEST(DetectorConfig, Validation) {
   auto& setup = trained_setup();
   DetectorConfig config = fast_config();
   config.generator_samples = 0;
-  EXPECT_THROW(AttackDetector(setup.model, config), InvalidArgumentError);
+  EXPECT_THROW(ScoringModel(setup.model, config), InvalidArgumentError);
   config = fast_config();
   config.parzen_h = 0.0;
-  EXPECT_THROW(AttackDetector(setup.model, config), InvalidArgumentError);
+  EXPECT_THROW(ScoringModel(setup.model, config), InvalidArgumentError);
   config = fast_config();
   config.false_alarm_percentile = 150.0;
-  EXPECT_THROW(AttackDetector(setup.model, config), InvalidArgumentError);
+  EXPECT_THROW(ScoringModel(setup.model, config), InvalidArgumentError);
   config = fast_config();
   config.feature_indices = {999};
-  EXPECT_THROW(AttackDetector(setup.model, config), InvalidArgumentError);
+  EXPECT_THROW(ScoringModel(setup.model, config), InvalidArgumentError);
 }
 
-TEST(AttackDetector, ScoreValidation) {
+TEST(Detector, ScoreValidation) {
   auto& setup = trained_setup();
-  const AttackDetector detector(setup.model, fast_config());
+  const auto model = scoring_model();
   const math::Matrix row(1, setup.dataset_config.bins, 0.5F);
-  EXPECT_THROW(detector.score(row, 5), InvalidArgumentError);
-  EXPECT_THROW(detector.score(math::Matrix(2, setup.dataset_config.bins), 0),
+  EXPECT_THROW(model->score_row(row, 5), InvalidArgumentError);
+  EXPECT_THROW(model->score_row(math::Matrix(2, setup.dataset_config.bins), 0),
                DimensionError);
-  EXPECT_NO_THROW(detector.score(row, 0));
+  EXPECT_NO_THROW(model->score_row(row, 0));
 }
 
-TEST(AttackDetector, UncalibratedThrows) {
+TEST(Detector, CalibrateRejectsAttackedData) {
   auto& setup = trained_setup();
-  const AttackDetector detector(setup.model, fast_config());
-  EXPECT_FALSE(detector.calibrated());
-  EXPECT_THROW(detector.threshold(), InvalidArgumentError);
-  const math::Matrix row(1, setup.dataset_config.bins, 0.5F);
-  EXPECT_THROW(detector.is_attack(row, 0), InvalidArgumentError);
-}
-
-TEST(AttackDetector, CalibrateRejectsAttackedData) {
-  auto& setup = trained_setup();
-  AttackDetector detector(setup.model, fast_config());
+  const auto model = scoring_model();
   AttackInjector injector(setup.builder);
   std::vector<Observation> mixed{
       injector.make_observation(0, AttackKind::kNone),
       injector.make_observation(1, AttackKind::kIntegrity)};
-  EXPECT_THROW(detector.calibrate(mixed), InvalidArgumentError);
-  EXPECT_THROW(detector.calibrate({}), InvalidArgumentError);
+  EXPECT_THROW(calibrate_threshold(*model, mixed), InvalidArgumentError);
+  EXPECT_THROW(calibrate_threshold(*model, {}), InvalidArgumentError);
 }
 
-TEST(AttackDetector, BenignScoresAboveAvailabilityScores) {
+TEST(Detector, BenignScoresAboveAvailabilityScores) {
   auto& setup = trained_setup();
-  AttackDetector detector(setup.model, fast_config());
+  const auto model = scoring_model();
   AttackInjector injector(setup.builder, 31);
   double benign = 0.0;
   double stalled = 0.0;
   for (int i = 0; i < 10; ++i) {
     const std::size_t label = static_cast<std::size_t>(i % 3);
-    benign += detector.score(
+    benign += model->score_row(
         injector.make_observation(label, AttackKind::kNone).features, label);
-    stalled += detector.score(
+    stalled += model->score_row(
         injector.make_observation(label, AttackKind::kAvailability).features,
         label);
   }
   EXPECT_GT(benign, stalled);
 }
 
-TEST(AttackDetector, DetectsAvailabilityAttacks) {
+TEST(Detector, DetectsAvailabilityAttacks) {
   auto& setup = trained_setup();
-  AttackDetector detector(setup.model, fast_config());
+  const auto model = scoring_model();
   AttackInjector injector(setup.builder, 41);
-  detector.calibrate(injector.generate(20, 0.0, AttackKind::kNone));
+  const double threshold = calibrate_threshold(
+      *model, injector.generate(20, 0.0, AttackKind::kNone));
   const auto mixed = injector.generate(20, 0.5, AttackKind::kAvailability);
-  const DetectionReport report = detector.evaluate(mixed);
+  const DetectionReport report = evaluate(model, threshold, mixed);
   EXPECT_GT(report.auc, 0.8);
   EXPECT_GT(report.true_positive_rate, report.false_positive_rate);
   EXPECT_EQ(report.attacked + report.benign, mixed.size());
 }
 
-TEST(AttackDetector, DetectsIntegrityAttacks) {
+TEST(Detector, DetectsIntegrityAttacks) {
   auto& setup = trained_setup();
-  AttackDetector detector(setup.model, fast_config());
+  const auto model = scoring_model();
   AttackInjector injector(setup.builder, 43);
-  detector.calibrate(injector.generate(20, 0.0, AttackKind::kNone));
+  const double threshold = calibrate_threshold(
+      *model, injector.generate(20, 0.0, AttackKind::kNone));
   const auto mixed = injector.generate(20, 0.5, AttackKind::kIntegrity);
-  const DetectionReport report = detector.evaluate(mixed);
+  const DetectionReport report = evaluate(model, threshold, mixed);
   EXPECT_GT(report.auc, 0.6);
 }
 
-TEST(AttackDetector, FalseAlarmRateNearConfigured) {
+TEST(Detector, FalseAlarmRateNearConfigured) {
   auto& setup = trained_setup();
   DetectorConfig config = fast_config();
   config.false_alarm_percentile = 10.0;
-  AttackDetector detector(setup.model, config);
+  const auto model = scoring_model(config);
   AttackInjector injector(setup.builder, 47);
-  detector.calibrate(injector.generate(30, 0.0, AttackKind::kNone));
+  const double threshold = calibrate_threshold(
+      *model, injector.generate(30, 0.0, AttackKind::kNone));
   const auto benign = injector.generate(30, 0.0, AttackKind::kNone);
-  const DetectionReport report = detector.evaluate(benign);
+  const DetectionReport report = evaluate(model, threshold, benign);
   EXPECT_EQ(report.attacked, 0U);
   // ~10% of benign observations should alarm (generous tolerance).
   EXPECT_LT(report.false_positive_rate, 0.3);
 }
 
-TEST(AttackDetector, EvaluateEmptyThrows) {
-  auto& setup = trained_setup();
-  AttackDetector detector(setup.model, fast_config());
-  EXPECT_THROW(detector.evaluate({}), InvalidArgumentError);
+TEST(Detector, EvaluateEmptyThrows) {
+  EXPECT_THROW(evaluate(scoring_model(), 0.0, {}), InvalidArgumentError);
 }
 
-TEST(AttackDetector, FeatureSubsetWorks) {
+TEST(Detector, FeatureSubsetWorks) {
   auto& setup = trained_setup();
   DetectorConfig config = fast_config();
   config.feature_indices = {0, 4, 8, 12};
-  AttackDetector detector(setup.model, config);
+  const auto model = scoring_model(config);
   AttackInjector injector(setup.builder, 53);
-  detector.calibrate(injector.generate(10, 0.0, AttackKind::kNone));
-  EXPECT_NO_THROW(
-      detector.evaluate(injector.generate(10, 0.5,
-                                          AttackKind::kAvailability)));
+  const double threshold = calibrate_threshold(
+      *model, injector.generate(10, 0.0, AttackKind::kNone));
+  EXPECT_NO_THROW(evaluate(
+      model, threshold, injector.generate(10, 0.5, AttackKind::kAvailability)));
 }
 
 }  // namespace

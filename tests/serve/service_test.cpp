@@ -37,7 +37,7 @@ std::shared_ptr<const ScoringModel> shared_model() {
 }
 
 /// The reference outcome of one window, computed through the *batch*
-/// pipeline: DatasetBuilder featurization + AttackDetector scoring.
+/// pipeline: DatasetBuilder featurization + ScoringModel::score_row.
 struct ExpectedWindow {
   std::size_t expected_label = 0;
   std::vector<double> samples;
@@ -61,7 +61,7 @@ LoadGenConfig test_traffic() {
 std::vector<std::vector<ExpectedWindow>> expected_windows(
     const LoadGenConfig& lg) {
   auto& setup = serve_setup();
-  const security::AttackDetector batch(setup.model, fast_config());
+  const ScoringModel batch(setup.model, fast_config());
   std::vector<std::vector<ExpectedWindow>> streams(lg.streams);
   for (std::size_t s = 0; s < lg.streams; ++s) {
     StreamSource source(setup.builder, lg, s);
@@ -71,7 +71,7 @@ std::vector<std::vector<ExpectedWindow>> expected_windows(
       e.expected_label = w.expected_label;
       const math::Matrix features =
           setup.builder.features_for_waveform(w.samples);
-      e.score = batch.score(features, w.expected_label);
+      e.score = batch.score_row(features, w.expected_label);
       double acc = 0.0;
       for (std::size_t c = 0; c < features.cols(); ++c) {
         acc += static_cast<double>(features(0, c));

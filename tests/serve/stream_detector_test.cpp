@@ -1,5 +1,5 @@
 // ScoringModel / StreamDetector battery: the streaming scorer must be
-// bit-identical to the batch AttackDetector (same estimators, same FP op
+// bit-identical to the batch score_row path (same estimators, same FP op
 // order), and the per-stream verdict state machine must classify
 // integrity vs availability and honor consecutive_to_alarm.
 #include "gansec/security/stream_detector.hpp"
@@ -32,14 +32,16 @@ std::shared_ptr<const ScoringModel> shared_model() {
 
 TEST(ScoringModel, BitIdenticalToBatchDetector) {
   auto& setup = serve_setup();
-  const AttackDetector batch(setup.model, fast_config());
+  // The batch path (calibrate_threshold / evaluate) builds its own model
+  // from the same CGAN and config and scores matrix rows.
+  const ScoringModel batch(setup.model, fast_config());
   const auto scoring = shared_model();
   AttackInjector injector(setup.builder, 61);
   for (int i = 0; i < 9; ++i) {
     const auto label = static_cast<std::size_t>(i % 3);
     const Observation obs = injector.make_observation(
         label, i % 2 == 0 ? AttackKind::kNone : AttackKind::kIntegrity);
-    const double batch_score = batch.score(obs.features, label);
+    const double batch_score = batch.score_row(obs.features, label);
     // EXPECT_EQ, not NEAR: the refactor's contract is the same FP ops in
     // the same order, so the doubles must be identical to the last bit.
     EXPECT_EQ(scoring->score_row(obs.features, label), batch_score);

@@ -1,9 +1,8 @@
-// gansec_ckpt — inspect, verify and convert gansec.model.v1 checkpoints.
+// gansec_ckpt — inspect and verify gansec.model.v1 checkpoints.
 //
 // Usage:
 //   gansec_ckpt inspect <file.gsm>
 //   gansec_ckpt verify [--json OUT] <file.gsm | registry-dir>...
-//   gansec_ckpt convert <in> <out>
 //
 // `inspect` prints the header fields, provenance, attrs and the tensor
 // directory of one checkpoint. `verify` validates every argument — a
@@ -12,23 +11,18 @@
 // its recorded size and CRC — and with --json writes a schema-versioned
 // "gansec.ckpt.v1" artifact (same provenance + metric shape as bench/lint
 // artifacts, so gansec_benchdiff --check validates and diffs it).
-// `convert` re-encodes a CGAN model between the legacy text format and
-// the binary checkpoint, chosen by the output extension (.gsm = binary).
 //
 // Exit codes: 0 = ok/clean, 1 = verification failures, 2 = usage/IO error.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "gansec/error.hpp"
-#include "gansec/gan/cgan.hpp"
 #include "gansec/model/checkpoint.hpp"
 #include "gansec/model/registry.hpp"
-#include "gansec/model/serialize.hpp"
 #include "gansec/obs/json.hpp"
 #include "gansec/obs/report.hpp"
 
@@ -42,8 +36,7 @@ using namespace gansec;
                "gansec_ckpt: %s\n"
                "usage: gansec_ckpt inspect <file.gsm>\n"
                "       gansec_ckpt verify [--json OUT] "
-               "<file.gsm | registry-dir>...\n"
-               "       gansec_ckpt convert <in> <out>\n",
+               "<file.gsm | registry-dir>...\n",
                message);
   std::exit(2);
 }
@@ -220,30 +213,6 @@ int cmd_verify(const std::vector<std::string>& paths,
   return stats.failures == 0 ? 0 : 1;
 }
 
-int cmd_convert(const std::string& in_path, const std::string& out_path) {
-  gan::Cgan loaded = [&] {
-    std::ifstream is(in_path, std::ios::binary);
-    char magic[sizeof(model::kCheckpointMagic)] = {};
-    if (is.read(magic, sizeof(magic)) &&
-        std::memcmp(magic, model::kCheckpointMagic, sizeof(magic)) == 0) {
-      return model::load_cgan_checkpoint_file(in_path);
-    }
-    return gan::Cgan::load_file(in_path);
-  }();
-  const std::string ext = model::kCheckpointExtension;
-  const bool binary =
-      out_path.size() >= ext.size() &&
-      out_path.compare(out_path.size() - ext.size(), ext.size(), ext) == 0;
-  if (binary) {
-    model::save_cgan_checkpoint(loaded, out_path);
-  } else {
-    loaded.save_file(out_path);
-  }
-  std::printf("%s -> %s (%s)\n", in_path.c_str(), out_path.c_str(),
-              binary ? "gansec.model.v1" : "text");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -273,10 +242,6 @@ int main(int argc, char** argv) {
     if (command == "verify") {
       if (paths.empty()) usage_error("verify needs at least one path");
       return cmd_verify(paths, json_path);
-    }
-    if (command == "convert") {
-      if (paths.size() != 2) usage_error("convert takes <in> <out>");
-      return cmd_convert(paths[0], paths[1]);
     }
     usage_error("unknown subcommand");
   } catch (const Error& e) {

@@ -2,10 +2,13 @@
 //
 // Subcommands:
 //   graph                        print G_CPPS, Algorithm 1 pairs and DOT
-//   train   --model out.cgan     build dataset, train CGAN, save model
-//   analyze --model m.cgan       Algorithm 3 + confidentiality on test data
-//   detect  --model m.cgan       calibrate + evaluate the attack detector
+//   train   --model out.gsm      build dataset, train CGAN, save model
+//   analyze --model m.gsm        Algorithm 3 + confidentiality on test data
+//   detect  --model m.gsm        calibrate + evaluate the attack detector
 //   sweep                        one CGAN per Algorithm 1 flow pair
+//
+// Models are gansec.model.v1 checkpoints (DESIGN.md §10) whatever the
+// file extension; the default is gansec-model.gsm.
 //
 // Common training/dataset flags: --samples N (per condition), --bins N,
 // --window S, --iterations N, --seed N, --h W (Parzen width).
@@ -25,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -39,7 +41,6 @@
 #include "gansec/core/pipeline.hpp"
 #include "gansec/cpps/dot.hpp"
 #include "gansec/error.hpp"
-#include "gansec/model/checkpoint.hpp"
 #include "gansec/model/registry.hpp"
 #include "gansec/model/serialize.hpp"
 #include "gansec/obs/http.hpp"
@@ -71,6 +72,8 @@ const std::set<std::string> kFlags = {
     "swap-interval", "incident-out"};
 
 const std::set<std::string> kBoolFlags = {"log-json", "incident-dump"};
+
+constexpr const char* kDefaultModelPath = "gansec-model.gsm";
 
 core::PipelineConfig config_from(const core::Args& args);
 
@@ -195,36 +198,6 @@ void describe_common_config(const core::Args& args, obs::RunReport& report) {
   report.add_seed("dataset", config.dataset.seed);
 }
 
-// True when `path` holds a gansec.model.v1 binary checkpoint (sniffs the
-// 8-byte magic), false for the legacy text format or anything else.
-bool is_checkpoint_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  char magic[sizeof(model::kCheckpointMagic)] = {};
-  if (!is.read(magic, sizeof(magic))) return false;
-  return std::memcmp(magic, model::kCheckpointMagic, sizeof(magic)) == 0;
-}
-
-// Loads a model from either format: binary checkpoints are detected by
-// magic, everything else goes through the legacy text loader.
-gan::Cgan load_model(const std::string& path) {
-  if (is_checkpoint_file(path)) {
-    return model::load_cgan_checkpoint_file(path);
-  }
-  return gan::Cgan::load_file(path);
-}
-
-// Saves in the format the filename asks for: `.gsm` selects the binary
-// gansec.model.v1 checkpoint, anything else the legacy text format.
-void save_model(const gan::Cgan& m, const std::string& path) {
-  const std::string ext = model::kCheckpointExtension;
-  if (path.size() >= ext.size() &&
-      path.compare(path.size() - ext.size(), ext.size(), ext) == 0) {
-    model::save_cgan_checkpoint(m, path);
-  } else {
-    m.save_file(path);
-  }
-}
-
 core::PipelineConfig config_from(const core::Args& args) {
   core::PipelineConfig config;
   // 0 = auto (hardware concurrency); results are thread-count-invariant,
@@ -275,7 +248,7 @@ int cmd_graph(obs::RunReport* report) {
 }
 
 int cmd_train(const core::Args& args, obs::RunReport* report) {
-  const std::string model_path = args.get("model", "gansec-model.cgan");
+  const std::string model_path = args.get("model", kDefaultModelPath);
   const std::string scaler_path = args.get("scaler", model_path + ".scaler");
   core::GanSecPipeline pipeline(config_from(args));
   GANSEC_LOG_INFO("cli.train.start", {"model", model_path},
@@ -291,7 +264,7 @@ int cmd_train(const core::Args& args, obs::RunReport* report) {
     report->add_result("attacker_accuracy",
                        result.confidentiality.attacker_accuracy);
   }
-  save_model(result.model, model_path);
+  model::save_cgan_checkpoint(result.model, model_path);
   {
     std::ofstream os(scaler_path);
     if (!os) throw IoError("cannot write scaler to " + scaler_path);
@@ -308,8 +281,8 @@ int cmd_train(const core::Args& args, obs::RunReport* report) {
 }
 
 int cmd_analyze(const core::Args& args, obs::RunReport* report) {
-  const std::string model_path = args.get("model", "gansec-model.cgan");
-  gan::Cgan model = load_model(model_path);
+  const std::string model_path = args.get("model", kDefaultModelPath);
+  gan::Cgan model = model::load_cgan_checkpoint_file(model_path);
   core::PipelineConfig config = config_from(args);
   // analyze/detect run outside GanSecPipeline::run(), so install the
   // execution knobs (--threads) for the analyzers here.
@@ -343,9 +316,9 @@ int cmd_analyze(const core::Args& args, obs::RunReport* report) {
 }
 
 int cmd_detect(const core::Args& args, obs::RunReport* report) {
-  const std::string model_path = args.get("model", "gansec-model.cgan");
+  const std::string model_path = args.get("model", kDefaultModelPath);
   const std::string scaler_path = args.get("scaler", model_path + ".scaler");
-  gan::Cgan model = load_model(model_path);
+  gan::Cgan model = model::load_cgan_checkpoint_file(model_path);
   core::PipelineConfig config = config_from(args);
   const core::ScopedExecution scoped(config.execution);
   config.dataset.bins = model.topology().data_dim;
@@ -363,10 +336,11 @@ int cmd_detect(const core::Args& args, obs::RunReport* report) {
     builder.build();
   }
 
-  security::AttackDetector detector(model, security::DetectorConfig{});
+  const auto scoring = std::make_shared<const security::ScoringModel>(
+      model, security::DetectorConfig{});
   security::AttackInjector injector(builder);
-  detector.calibrate(
-      injector.generate(25, 0.0, security::AttackKind::kNone));
+  const double threshold = security::calibrate_threshold(
+      *scoring, injector.generate(25, 0.0, security::AttackKind::kNone));
   const double fraction = args.get_double("attack-fraction", 0.5);
   if (report != nullptr) {
     describe_common_config(args, *report);
@@ -375,8 +349,8 @@ int cmd_detect(const core::Args& args, obs::RunReport* report) {
   }
   for (const auto kind : {security::AttackKind::kIntegrity,
                           security::AttackKind::kAvailability}) {
-    const security::DetectionReport detection =
-        detector.evaluate(injector.generate(20, fraction, kind));
+    const security::DetectionReport detection = security::evaluate(
+        scoring, threshold, injector.generate(20, fraction, kind));
     std::cout << "\n" << security::attack_name(kind) << " attacks:\n"
               << security::format_detection(detection);
     if (report != nullptr) {
@@ -466,9 +440,9 @@ int cmd_loadgen(const core::Args& args, obs::RunReport* report) {
 // polls a ModelRegistry and hot-swaps the newest generation in between
 // windows.
 int cmd_serve(const core::Args& args, obs::RunReport* report) {
-  const std::string model_path = args.get("model", "gansec-model.cgan");
+  const std::string model_path = args.get("model", kDefaultModelPath);
   const std::string scaler_path = args.get("scaler", model_path + ".scaler");
-  gan::Cgan model = load_model(model_path);
+  gan::Cgan model = model::load_cgan_checkpoint_file(model_path);
   core::PipelineConfig config = config_from(args);
   const core::ScopedExecution scoped(config.execution);
   config.dataset.bins = model.topology().data_dim;
@@ -482,8 +456,8 @@ int cmd_serve(const core::Args& args, obs::RunReport* report) {
     builder.build();
   }
 
-  // The shared immutable scoring model — the very same estimators the
-  // batch AttackDetector would build (same sampling sequence).
+  // The shared immutable scoring model — the very same estimators
+  // `detect` builds (same sampling sequence).
   security::DetectorConfig detector_config;
   auto scoring = std::make_shared<const security::ScoringModel>(
       model, detector_config);
@@ -493,15 +467,10 @@ int cmd_serve(const core::Args& args, obs::RunReport* report) {
   const auto calibrate_n =
       static_cast<std::size_t>(args.get_int("calibrate", 25));
   security::AttackInjector injector(builder);
-  std::vector<double> benign_scores;
-  for (const auto& obs :
-       injector.generate(calibrate_n, 0.0, security::AttackKind::kNone)) {
-    benign_scores.push_back(
-        scoring->score_row(obs.features, obs.expected_label));
-  }
   security::StreamDetectorConfig detector;
-  detector.threshold = math::percentile(
-      std::move(benign_scores), detector_config.false_alarm_percentile);
+  detector.threshold = security::calibrate_threshold(
+      *scoring,
+      injector.generate(calibrate_n, 0.0, security::AttackKind::kNone));
   detector.availability_floor = args.get_double("availability-floor", 0.05);
 
   const serve::LoadGenConfig lg =
@@ -731,18 +700,17 @@ int usage() {
                "usage: gansec "
                "<graph|train|analyze|detect|sweep|serve|loadgen> [flags]\n"
                "  graph                     print G_CPPS + flow pairs + DOT\n"
-               "  train   --model out.cgan  train and persist the CGAN\n"
-               "  analyze --model m.cgan    Algorithm 3 + confidentiality\n"
-               "  detect  --model m.cgan    attack-detection evaluation\n"
+               "  train   --model out.gsm   train and persist the CGAN\n"
+               "  analyze --model m.gsm     Algorithm 3 + confidentiality\n"
+               "  detect  --model m.gsm     attack-detection evaluation\n"
                "  sweep                     one CGAN per Algorithm 1 pair,\n"
                "                            leakage margin table\n"
-               "  serve   --model m.cgan    streaming online monitor: N\n"
+               "  serve   --model m.gsm     streaming online monitor: N\n"
                "                            synthetic printers scored live\n"
                "  loadgen                   synth-only traffic generator,\n"
                "                            prints per-stream fingerprints\n"
-               "model files: *.gsm selects the gansec.model.v1 binary\n"
-               "  checkpoint; other extensions use the legacy text format.\n"
-               "  analyze/detect auto-detect the format by magic.\n"
+               "model files: gansec.model.v1 checkpoints whatever the\n"
+               "  extension (default gansec-model.gsm)\n"
                "  sweep --registry DIR      store every pair's model in a\n"
                "                            versioned ModelRegistry\n"
                "flags: --samples N  --bins N  --window S  --iterations N\n"
