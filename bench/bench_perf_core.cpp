@@ -138,6 +138,25 @@ void BM_CwtBandEnergies(benchmark::State& state) {
 }
 BENCHMARK(BM_CwtBandEnergies)->Arg(25)->Arg(100);
 
+// What a served window pays: band energies on a prebuilt plan (the batch
+// call above also builds the plan).
+void BM_CwtWindowPlan(benchmark::State& state) {
+  const auto bins = static_cast<std::size_t>(state.range(0));
+  math::Rng rng(3);
+  std::vector<double> signal(4000);
+  for (double& v : signal) v = rng.normal();
+  const dsp::MorletCwt cwt(dsp::CwtConfig{16000.0, 6.0});
+  const dsp::FrequencyBinner binner(50.0, 5000.0, bins);
+  dsp::CwtWindowPlan plan(cwt, signal.size(), binner.centers());
+  std::vector<double> energies(bins);
+  for (auto _ : state) {
+    plan.band_energies_into(signal.data(), signal.size(), energies.data());
+    benchmark::DoNotOptimize(energies.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CwtWindowPlan)->Arg(100);
+
 void BM_GcodeParse(benchmark::State& state) {
   const std::string program =
       "G28\nG1 F1200 X10.5 Y-3.25 Z0.4 E1.2\nM104 S210 ; heat\n"

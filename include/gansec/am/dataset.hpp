@@ -86,6 +86,9 @@ class DatasetBuilder {
 
   const DatasetConfig& config() const { return config_; }
   const dsp::FrequencyBinner& binner() const { return binner_; }
+  /// The wavelet the features are computed with; online scoring builds its
+  /// per-window plans from it so served and training features agree.
+  const dsp::MorletCwt& cwt() const { return cwt_; }
   const ConditionEncoder& encoder() const { return encoder_; }
 
   /// Generates the full dataset and fits the scaler on it.

@@ -7,9 +7,10 @@
 // frequency-domain multiplication: W(s, t) = ifft(X(w) * conj(psihat(s w))).
 #pragma once
 
-#include <complex>
 #include <cstddef>
 #include <vector>
+
+#include "gansec/dsp/fft.hpp"
 
 namespace gansec::dsp {
 
@@ -30,13 +31,16 @@ class MorletCwt {
   double scale_for_frequency(double frequency_hz) const;
 
   /// Full scalogram: result[f][t] = |W(s_f, t)| for each target frequency
-  /// (rows) over the original signal length (columns).
+  /// (rows) over the original signal length (columns). Evaluates every
+  /// response bin and takes |W| with std::abs; the tests hold
+  /// CwtWindowPlan to it as the reference.
   std::vector<std::vector<double>> scalogram(
       const std::vector<double>& signal,
       const std::vector<double>& frequencies_hz) const;
 
   /// Mean |W(s_f, t)| over time for each target frequency — the per-frame
   /// energy feature vector used by GAN-Sec (one value per frequency bin).
+  /// Runs through a CwtWindowPlan built for this call.
   std::vector<double> band_energies(
       const std::vector<double>& signal,
       const std::vector<double>& frequencies_hz) const;
@@ -46,23 +50,30 @@ class MorletCwt {
   double wavelet_fourier(double scale, double angular_frequency) const;
 
   CwtConfig config_;
-
-  friend class CwtWindowPlan;
 };
 
-/// Precomputed per-window CWT state for the streaming scoring path.
+/// Precomputed per-window CWT state: the one implementation of
+/// `MorletCwt::band_energies`, used by the batch call and by the streaming
+/// scoring path alike.
 ///
-/// The batch `band_energies` re-derives the wavelet frequency response for
-/// every call; a long-running monitor scores the same (window length,
-/// frequency grid) thousands of times per stream. The plan evaluates the
-/// Morlet response table once at construction and keeps FFT scratch as
-/// members, so `band_energies_into` performs zero allocations per window
-/// and produces bit-identical values to `MorletCwt::band_energies` on the
-/// same samples (same operations in the same order).
+/// Construction builds the FFT plan for the padded length and tabulates
+/// each band's Morlet response, stored only over the bins where it is
+/// nonzero in double precision (a Gaussian around the band's centre bin;
+/// everything else, including the negative-frequency half, is exactly
+/// zero). A window then costs one forward FFT plus, per band, a scatter of
+/// spectrum x response into bit-reversed order, one inverse FFT and a pass
+/// of |W| = sqrt(re^2 + im^2). Everything runs in member scratch, so
+/// `band_energies_into` performs zero allocations.
+///
+/// The FFT and the response values are bit-identical to the ones
+/// `MorletCwt::scalogram` uses; only the magnitude differs (sqrt of the
+/// sum of squares instead of std::abs). tests/dsp/cwt_test.cpp holds each
+/// paper-scale band energy to 4 ulp of the mean of the matching scalogram
+/// row, and to equality after the cast to float every feature path
+/// applies.
 ///
 /// Not thread-safe: the scratch buffers make each plan single-stream.
-/// Give every worker shard its own plan (they are cheap: two complex
-/// buffers plus the response table).
+/// Give every worker shard its own plan.
 class CwtWindowPlan {
  public:
   /// `window_length` is the exact sample count every window must have;
@@ -83,14 +94,25 @@ class CwtWindowPlan {
   std::vector<double> band_energies(const std::vector<double>& window);
 
  private:
+  /// A band's nonzero response bins [first, first + count), whose values
+  /// sit at response_[offset, offset + count).
+  struct Support {
+    std::size_t first = 0;
+    std::size_t count = 0;
+    std::size_t offset = 0;
+  };
+
   std::size_t window_length_;
-  std::size_t padded_;  ///< next_power_of_two(window_length_)
+  FftPlan fft_;
   std::vector<double> frequencies_;
-  /// Row-major [frequency][padded_] Morlet responses; negative-frequency
-  /// bins (k > padded_/2) are zero, mirroring the batch path.
+  std::vector<Support> supports_;
   std::vector<double> response_;
-  std::vector<std::complex<double>> spectrum_;
-  std::vector<std::complex<double>> work_;
+  /// Forward transform of the current window.
+  std::vector<double> spectrum_re_;
+  std::vector<double> spectrum_im_;
+  /// One band's product spectrum, transformed in place.
+  std::vector<double> work_re_;
+  std::vector<double> work_im_;
 };
 
 }  // namespace gansec::dsp

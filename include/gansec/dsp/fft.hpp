@@ -4,6 +4,14 @@
 // frequency domain, so the FFT is the workhorse of the energy-flow feature
 // pipeline. Transforms operate on power-of-two lengths; helpers are provided
 // for padding.
+//
+// There is one kernel, FftPlan: the bit-reverse permutation and the twiddle
+// factors of every stage are tabulated once per length, and the butterflies
+// run on split re/im arrays in plain double arithmetic. The twiddles are
+// filled by the textbook `w *= wlen` recurrence per stage, so a plan's output
+// is bit-identical to the classic recurrence loop over std::complex values
+// (tests/dsp/fft_test.cpp keeps that loop as the oracle). The vector helpers
+// below build a plan per call.
 #pragma once
 
 #include <complex>
@@ -18,6 +26,43 @@ bool is_power_of_two(std::size_t n);
 
 /// Smallest power of two >= n (n == 0 maps to 1).
 std::size_t next_power_of_two(std::size_t n);
+
+/// Precomputed radix-2 transform of one power-of-two length. Immutable
+/// after construction, so one plan may serve any number of threads; the
+/// transforms work in place on caller-owned arrays of size() values, `re`
+/// and `im` not overlapping, and never allocate.
+class FftPlan {
+ public:
+  /// Throws InvalidArgumentError unless `n` is a power of two.
+  explicit FftPlan(std::size_t n);
+
+  std::size_t size() const { return n_; }
+
+  /// Position of input index k after the bit-reverse permutation.
+  std::size_t bit_reversed(std::size_t k) const { return bit_reverse_[k]; }
+
+  /// In-place forward transform of size() values held as split arrays.
+  void forward(double* re, double* im) const;
+
+  /// In-place inverse transform, including the 1/N normalization.
+  void inverse(double* re, double* im) const;
+
+  /// The butterfly stages alone, for input that is already in bit-reversed
+  /// order (callers that scatter straight into it skip the permutation).
+  /// Output is in natural order; the inverse is left unnormalized.
+  void butterflies(double* re, double* im, bool inverse) const;
+
+ private:
+  void permute(double* re, double* im) const;
+
+  std::size_t n_;
+  std::vector<std::size_t> bit_reverse_;
+  /// Per-stage twiddles, stage with half-length h at offset h - 1.
+  std::vector<double> forward_re_;
+  std::vector<double> forward_im_;
+  std::vector<double> inverse_re_;
+  std::vector<double> inverse_im_;
+};
 
 /// In-place forward FFT. Length must be a power of two (throws
 /// InvalidArgumentError otherwise).

@@ -143,12 +143,10 @@ DetectorService::DetectorService(
   // More shards than streams would just idle; clamp.
   if (config_.workers > config_.streams) config_.workers = config_.streams;
 
-  const dsp::MorletCwt cwt(
-      dsp::CwtConfig{builder.config().acoustic.sample_rate, 6.0});
   shards_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     shards_.push_back(std::make_unique<ShardContext>(
-        cwt, config_.window_length, builder.binner().centers()));
+        builder.cwt(), config_.window_length, builder.binner().centers()));
   }
 
   states_.reserve(config_.streams);

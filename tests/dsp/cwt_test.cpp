@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
+#include "gansec/dsp/binner.hpp"
 #include "gansec/error.hpp"
 #include "gansec/math/rng.hpp"
 
@@ -185,9 +189,9 @@ TEST(CwtWindowPlan, BitIdenticalToBatchBandEnergies) {
     const auto streamed = plan.band_energies(window);
     ASSERT_EQ(streamed.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      // EXPECT_EQ, not NEAR: the plan precomputes the identical wavelet
-      // responses and applies the same FP ops in the same order, so the
-      // streaming path must match the batch path to the last bit.
+      // EXPECT_EQ, not NEAR: the batch call builds a CwtWindowPlan and runs
+      // it, so both paths share one implementation, and a reused plan must
+      // give the same bits as a fresh one on every window.
       EXPECT_EQ(streamed[i], batch[i]) << "pass " << pass << " band " << i;
     }
   }
@@ -203,6 +207,119 @@ TEST(CwtWindowPlan, IntoFormReusesCallerBuffer) {
   const auto batch = cwt.band_energies(x, freqs);
   EXPECT_EQ(out[0], batch[0]);
   EXPECT_EQ(out[1], batch[1]);
+}
+
+// ---- Paper-scale accuracy against the scalogram reference -------------------
+
+// The paper's window: 0.25 s at 16 kHz, 100 log bins in 50-5000 Hz.
+constexpr double kPaperRate = 16000.0;
+constexpr std::size_t kPaperWindow = 4000;
+
+std::vector<double> tone_plus_noise(std::uint64_t seed) {
+  math::Rng rng(seed);
+  std::vector<double> x = tone(440.0, kPaperRate, kPaperWindow);
+  const auto y = tone(2750.0, kPaperRate, kPaperWindow, 0.3);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] += y[i] + 0.2 * rng.normal();
+  return x;
+}
+
+/// Mean of each scalogram row, summed in time order: the band energies as
+/// computed before the plan existed, with std::abs for |W|.
+std::vector<double> reference_band_energies(
+    const MorletCwt& cwt, const std::vector<double>& signal,
+    const std::vector<double>& frequencies) {
+  const auto grid = cwt.scalogram(signal, frequencies);
+  std::vector<double> energies(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    double acc = 0.0;
+    for (const double v : grid[i]) acc += v;
+    energies[i] = acc / static_cast<double>(grid[i].size());
+  }
+  return energies;
+}
+
+/// Distance in units in the last place between two positive doubles.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ia = std::bit_cast<std::uint64_t>(a);
+  const auto ib = std::bit_cast<std::uint64_t>(b);
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+TEST(CwtWindowPlan, PaperScaleWithinFourUlpOfScalogramMean) {
+  const MorletCwt cwt(CwtConfig{kPaperRate, 6.0});
+  const std::vector<double> centers =
+      FrequencyBinner::paper_default().centers();
+  CwtWindowPlan plan(cwt, kPaperWindow, centers);
+  for (const std::uint64_t seed : {11U, 12U}) {
+    const auto x = tone_plus_noise(seed);
+    const auto energies = plan.band_energies(x);
+    const auto reference = reference_band_energies(cwt, x, centers);
+    ASSERT_EQ(energies.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_GT(reference[i], 0.0);
+      // Only the magnitude differs (sqrt of the sum of squares against
+      // std::abs); the FFTs and responses are the reference's bits.
+      EXPECT_LE(ulp_distance(energies[i], reference[i]), 4U)
+          << "seed " << seed << " band " << i << ": " << energies[i]
+          << " vs " << reference[i];
+      // Every feature path casts to float, where the difference vanishes.
+      EXPECT_EQ(static_cast<float>(energies[i]),
+                static_cast<float>(reference[i]))
+          << "seed " << seed << " band " << i;
+    }
+  }
+}
+
+TEST(CwtWindowPlan, EmptySupportAndSilenceGiveExactZero) {
+  // At 8 kHz and N = 1024 the 0.5 Hz response underflows to 0 in every
+  // bin, so the band has no support at all (last, so its empty slice sits
+  // at the end of the response table).
+  const MorletCwt cwt(CwtConfig{8000.0, 6.0});
+  CwtWindowPlan plan(cwt, 1024, {1000.0, 0.5});
+  const auto loud = plan.band_energies(tone(1000.0, 8000.0, 1024));
+  EXPECT_GT(loud[0], 0.0);
+  EXPECT_EQ(loud[1], 0.0);
+  const auto silent = plan.band_energies(std::vector<double>(1024, 0.0));
+  EXPECT_EQ(silent[0], 0.0);
+  EXPECT_EQ(silent[1], 0.0);
+}
+
+TEST(CwtWindowPlan, NonFiniteSampleGivesNanInEveryBand) {
+  const MorletCwt cwt(CwtConfig{kPaperRate, 6.0});
+  CwtWindowPlan plan(cwt, kPaperWindow,
+                     FrequencyBinner::paper_default().centers());
+  const double poison[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (const double bad : poison) {
+    auto x = tone_plus_noise(13);
+    x[1234] = bad;
+    const auto energies = plan.band_energies(x);
+    for (std::size_t i = 0; i < energies.size(); ++i) {
+      EXPECT_TRUE(std::isnan(energies[i]))
+          << "sample " << bad << " band " << i << " gave " << energies[i];
+    }
+  }
+}
+
+TEST(CwtWindowPlan, HugeFiniteInputMatchesReferenceAsFloat) {
+  // sqrt(re^2 + im^2) overflows where std::abs would not, but a band energy
+  // this large is +inf after the cast to float either way.
+  const MorletCwt cwt(CwtConfig{kPaperRate, 6.0});
+  const std::vector<double> centers =
+      FrequencyBinner::paper_default().centers();
+  CwtWindowPlan plan(cwt, kPaperWindow, centers);
+  const std::vector<double> x(kPaperWindow, 1e300);
+  const auto energies = plan.band_energies(x);
+  const auto reference = reference_band_energies(cwt, x, centers);
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(static_cast<float>(energies[i]),
+              static_cast<float>(reference[i]))
+        << "band " << i;
+    EXPECT_EQ(static_cast<float>(energies[i]),
+              std::numeric_limits<float>::infinity())
+        << "band " << i;
+  }
 }
 
 TEST(CwtWindowPlan, Validation) {

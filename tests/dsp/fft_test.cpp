@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "gansec/error.hpp"
 #include "gansec/math/rng.hpp"
@@ -169,6 +173,130 @@ TEST_P(FftSizes, RoundTripAndParseval) {
 
 INSTANTIATE_TEST_SUITE_P(PowersOfTwo, FftSizes,
                          ::testing::Values(1, 2, 4, 8, 16, 64, 512, 4096));
+
+// ---- Bit-identity oracle ------------------------------------------------------
+
+// The classic iterative radix-2 transform over std::complex, with twiddles
+// rebuilt by the `w *= wlen` recurrence on every call. FftPlan tabulates the
+// same recurrence and performs the same butterflies, so its output must
+// equal this loop's to the last bit.
+void reference_transform(std::vector<Complex>& x, bool inverse) {
+  const std::size_t n = x.size();
+  std::size_t j = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    std::size_t bit = n >> 1U;
+    while (j & bit) {
+      j ^= bit;
+      bit >>= 1U;
+    }
+    j |= bit;
+    if (i < j) std::swap(x[i], x[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1U) {
+    const double angle =
+        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+    const Complex wlen(std::cos(angle), std::sin(angle));
+    for (std::size_t i = 0; i < n; i += len) {
+      Complex w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const Complex u = x[i + k];
+        const Complex v = x[i + k + len / 2] * w;
+        x[i + k] = u + v;
+        x[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (Complex& c : x) c *= inv_n;
+  }
+}
+
+// Compares bit patterns, so even the sign of a zero must agree.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bit_identical(const std::vector<Complex>& got,
+                          const std::vector<Complex>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(bits(got[i].real()), bits(want[i].real()))
+        << what << " re[" << i << "]";
+    EXPECT_EQ(bits(got[i].imag()), bits(want[i].imag()))
+        << what << " im[" << i << "]";
+  }
+}
+
+// Random complex input, and a real input with exact zeros (the shape the
+// CWT feeds in: zero imaginary parts and a zero-padded tail).
+std::vector<std::vector<Complex>> oracle_inputs(std::size_t n) {
+  math::Rng rng(1000 + n);
+  std::vector<Complex> complex_input(n);
+  for (Complex& c : complex_input) c = Complex(rng.normal(), rng.normal());
+  std::vector<Complex> real_input(n, Complex(0.0, 0.0));
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 != 1 && i < n - n / 4) real_input[i] = Complex(rng.normal(), 0.0);
+  }
+  return {complex_input, real_input};
+}
+
+TEST(FftOracle, WrappersMatchRecurrenceBitForBit) {
+  for (std::size_t n = 1; n <= 16384; n <<= 1U) {
+    for (const std::vector<Complex>& input : oracle_inputs(n)) {
+      std::vector<Complex> want = input;
+      reference_transform(want, /*inverse=*/false);
+      std::vector<Complex> got = input;
+      fft_in_place(got);
+      expect_bit_identical(got, want, "fft n=" + std::to_string(n));
+
+      want = input;
+      reference_transform(want, /*inverse=*/true);
+      got = input;
+      ifft_in_place(got);
+      expect_bit_identical(got, want, "ifft n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(FftOracle, PlanOnSplitArraysMatchesWrappers) {
+  for (std::size_t n = 1; n <= 16384; n <<= 1U) {
+    const FftPlan plan(n);
+    ASSERT_EQ(plan.size(), n);
+    for (const std::vector<Complex>& input : oracle_inputs(n)) {
+      for (const bool inverse : {false, true}) {
+        std::vector<Complex> want = input;
+        if (inverse) {
+          ifft_in_place(want);
+        } else {
+          fft_in_place(want);
+        }
+        std::vector<double> re(n);
+        std::vector<double> im(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          re[i] = input[i].real();
+          im[i] = input[i].imag();
+        }
+        if (inverse) {
+          plan.inverse(re.data(), im.data());
+        } else {
+          plan.forward(re.data(), im.data());
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(bits(re[i]), bits(want[i].real()))
+              << "n=" << n << " i=" << i;
+          EXPECT_EQ(bits(im[i]), bits(want[i].imag()))
+              << "n=" << n << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(FftOracle, PlanRejectsNonPowerOfTwo) {
+  EXPECT_THROW(FftPlan(0), InvalidArgumentError);
+  EXPECT_THROW(FftPlan(12), InvalidArgumentError);
+}
 
 }  // namespace
 }  // namespace gansec::dsp

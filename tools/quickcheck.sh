@@ -7,7 +7,8 @@
 # ctest suite; then the `lint` and `bench-smoke` ctest labels on the
 # release tree (plus the lint artifact gate: the repo-wide run must emit
 # schema-valid gansec.lint.v1 and gansec.lintdb.v1 artifacts accepted by
-# gansec_benchdiff --check), the full-scale profiler
+# gansec_benchdiff --check), a build and smoke run of the bench/e2e
+# benchmark package, the full-scale profiler
 # overhead/symbolization gate with
 # a benchdiff against the committed baseline, the streaming-monitor
 # gate, the incident-forensics gate (live /incidentz plus a kill -SEGV
@@ -101,6 +102,19 @@ lint_artifact_gate() {
 }
 run_step "lint-artifacts" lint_artifact_gate
 run_step "bench-smoke" ctest --test-dir build -L bench-smoke --output-on-failure
+
+# End-to-end benchmark gate. bench/e2e is a CMake package of its own that
+# builds the library from src/, so neither the tree above nor its tests
+# notice when a library change breaks that build (a changed signature that
+# bench/e2e calls, say). Configure it into build-e2e, build its two
+# programs, and run its smoke ctests.
+e2e_smoke() {
+  cmake -S bench/e2e -B build-e2e -DCMAKE_BUILD_TYPE=Release || return 1
+  cmake --build build-e2e --target gansec_bench gansec_benchdiff \
+    -j "${JOBS}" || return 1
+  ctest --test-dir build-e2e -L bench-smoke --output-on-failure
+}
+run_step "e2e-smoke" e2e_smoke
 
 # Live-introspection gate, two legs.
 #
