@@ -3,15 +3,15 @@
 //
 // The paper plots the density of each (scaled) frequency magnitude under
 // the trained generator per condition. This bench fits the Parzen KDE to
-// generator samples for each condition and prints the density grid over
-// the scaled magnitude axis [0,1] for a set of representative frequency
-// features, plus the h-scaled probabilities (the paper multiplies the
-// density by h = 0.2).
+// generator samples for each condition (Algorithm 3's fit_condition) and
+// prints the density grid over the scaled magnitude axis [0,1] for a set
+// of representative frequency features, plus the h-scaled probabilities
+// (the paper multiplies the density by h = 0.2).
 #include <cstdio>
 #include <iostream>
 
 #include "common.hpp"
-#include "gansec/stats/kde.hpp"
+#include "gansec/security/analyzer.hpp"
 
 int main() {
   using namespace gansec;
@@ -35,24 +35,19 @@ int main() {
   double density_acc = 0.0;
   std::size_t density_n = 0;
   for (std::size_t ci = 0; ci < 3; ++ci) {
-    math::Matrix cond(1, 3, 0.0F);
-    cond(0, ci) = 1.0F;
-    const math::Matrix samples =
-        exp.model.generate_for_condition(cond, gsize, rng);
+    const std::vector<stats::ParzenKde> fits = security::fit_condition(
+        exp.model.generator(), exp.model.topology(), ci, features, gsize, h,
+        rng);
     const char* names[3] = {"X [1,0,0]", "Y [0,1,0]", "Z [0,0,1]"};
     std::printf("\ncondition %zu (%s):\n", ci + 1, names[ci]);
     std::printf("%-22s", "scaled magnitude:");
     for (double m = 0.0; m <= 1.0001; m += 0.1) std::printf(" %6.1f", m);
     std::printf("\n");
-    for (const std::size_t ft : features) {
-      std::vector<double> xs(gsize);
-      for (std::size_t r = 0; r < gsize; ++r) {
-        xs[r] = static_cast<double>(samples(r, ft));
-      }
-      const stats::ParzenKde kde(std::move(xs), h);
+    for (std::size_t fpos = 0; fpos < features.size(); ++fpos) {
+      const std::size_t ft = features[fpos];
       std::printf("feat %3zu (%6.0f Hz) p*h:", ft, centers[ft]);
       for (double m = 0.0; m <= 1.0001; m += 0.1) {
-        const double p = kde.scaled_likelihood(m);
+        const double p = fits[fpos].scaled_likelihood(m);
         density_acc += p;
         ++density_n;
         std::printf(" %6.3f", p);

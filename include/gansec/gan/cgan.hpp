@@ -60,27 +60,30 @@ class Cgan {
   math::Matrix generate_for_condition(const math::Matrix& condition,
                                       std::size_t count, math::Rng& rng);
 
-  /// Zero-copy variants: identical draws and values, but the returned
-  /// reference is the generator's own output buffer — valid until the next
-  /// generator forward pass. Scratch comes from the calling thread's
-  /// Workspace, so steady-state calls allocate nothing.
+  /// Zero-copy generate(): identical draws and values, but the returned
+  /// reference is the generator's own output buffer (see sample_generator).
   const math::Matrix& generate_view(const math::Matrix& conditions,
                                     math::Rng& rng);
-  const math::Matrix& generate_for_condition_view(
-      const math::Matrix& condition, std::size_t count, math::Rng& rng);
 
   /// D(data|conds): per-row probability that each sample is real.
   math::Matrix discriminate(const math::Matrix& data,
                             const math::Matrix& conditions);
 
  private:
-  void validate_conditions(const math::Matrix& conditions,
-                           const char* fn) const;
-
   CganTopology topology_;
   nn::Mlp generator_;
   nn::Mlp discriminator_;
 };
+
+/// G(Z|conditions) through a bare generator: the one draw sequence (Z from
+/// `rng`, then [Z | conditions] forward in inference mode) behind Cgan's
+/// generate methods and Algorithm 3's fit_condition. Returns the
+/// generator's own output buffer, valid until its next forward pass;
+/// scratch comes from the calling thread's Workspace.
+const math::Matrix& sample_generator(nn::Mlp& generator,
+                                     const CganTopology& topology,
+                                     const math::Matrix& conditions,
+                                     math::Rng& rng);
 
 /// Builds the generator network for a topology (exposed for tests).
 nn::Mlp build_generator(const CganTopology& topology);

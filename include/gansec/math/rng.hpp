@@ -21,7 +21,8 @@ class Rng {
   /// Uniform real in [lo, hi).
   double uniform(double lo = 0.0, double hi = 1.0);
 
-  /// Standard normal scaled to N(mean, stddev^2).
+  /// Standard normal scaled to N(mean, stddev^2); stddev 0 returns `mean`.
+  /// Throws InvalidArgumentError on a negative stddev.
   double normal(double mean = 0.0, double stddev = 1.0);
 
   /// Uniform integer in [lo, hi] inclusive.

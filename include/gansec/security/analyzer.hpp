@@ -16,8 +16,26 @@
 #include "gansec/am/dataset.hpp"
 #include "gansec/gan/cgan.hpp"
 #include "gansec/math/rng.hpp"
+#include "gansec/stats/kde.hpp"
 
 namespace gansec::security {
+
+/// FtIndices: `requested`, or every feature when it is empty. Throws
+/// InvalidArgumentError on an index >= data_dim.
+std::vector<std::size_t> resolve_feature_indices(
+    const std::vector<std::size_t>& requested, std::size_t data_dim);
+
+/// Algorithm 3 lines 6-8 for condition C_i: draws GSize samples from
+/// G(Z|C_i) on `rng` and returns one Parzen window of width h per entry of
+/// `features` (resolved indices). The analyzer, the attacker, ScoringModel
+/// and Figure 8 all fit here, one condition at a time in ascending order.
+/// Throws InvalidArgumentError on a condition >= cond_dim, a gsize of 0 or
+/// (from ParzenKde) a non-positive h, and DimensionError on a feature index
+/// >= data_dim.
+std::vector<stats::ParzenKde> fit_condition(
+    nn::Mlp& generator, const gan::CganTopology& topology,
+    std::size_t condition, const std::vector<std::size_t>& features,
+    std::size_t gsize, double h, math::Rng& rng);
 
 struct LikelihoodConfig {
   std::size_t generator_samples = 200;  ///< GSize in Algorithm 3
@@ -45,10 +63,10 @@ struct LikelihoodResult {
   std::size_t most_leaky_condition() const;
 };
 
-/// Runs Algorithm 3. The per-feature KDE fits and test-sample scoring fan
-/// out across the process-wide thread pool (each of the 100 frequency bins
-/// is independent); all generator sampling happens serially first, so the
-/// resulting likelihoods are bit-identical at any thread count.
+/// Runs Algorithm 3 one condition at a time: fit_condition draws and fits
+/// on the calling thread, then test-sample scoring fans out per feature
+/// across the process-wide thread pool. No draw happens inside the fan-out,
+/// so the likelihoods are bit-identical at any thread count.
 class LikelihoodAnalyzer {
  public:
   explicit LikelihoodAnalyzer(LikelihoodConfig config,

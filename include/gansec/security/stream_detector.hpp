@@ -29,8 +29,9 @@
 namespace gansec::security {
 
 /// Immutable per-(condition, feature) Parzen scoring model sampled from a
-/// trained CGAN generator. Construction is deterministic in (model,
-/// config, seed), so two models built alike score identically.
+/// trained CGAN generator by Algorithm 3's fit_condition (analyzer.hpp).
+/// Construction is deterministic in (model, config, seed), so two models
+/// built alike score identically.
 class ScoringModel {
  public:
   ScoringModel(gan::Cgan& model, DetectorConfig config,
@@ -61,10 +62,9 @@ class ScoringModel {
   std::size_t conditions_ = 0;
   std::size_t data_dim_ = 0;
   std::vector<std::size_t> indices_;
-  /// Flat [condition][feature-pos][generator_samples] sample store; the
-  /// scorers below are non-owning views into it.
-  std::vector<double> samples_;
-  std::vector<stats::ParzenScorer> scorers_;  ///< [condition * feature-pos]
+  /// fit_condition's estimators, condition after condition:
+  /// [condition * indices_.size() + feature-pos].
+  std::vector<stats::ParzenKde> fits_;
 };
 
 /// Per-window classification emitted by a stream.

@@ -28,6 +28,19 @@ void validate_topology(const CganTopology& t) {
   }
 }
 
+void validate_conditions(const CganTopology& t, const Matrix& conditions,
+                         const char* fn) {
+  if (conditions.cols() != t.cond_dim) {
+    throw DimensionError(std::string("Cgan::") + fn + ": condition width " +
+                         std::to_string(conditions.cols()) + " != " +
+                         std::to_string(t.cond_dim));
+  }
+  if (conditions.rows() == 0) {
+    throw InvalidArgumentError(std::string("Cgan::") + fn +
+                               ": empty condition batch");
+  }
+}
+
 }  // namespace
 
 nn::Mlp build_generator(const CganTopology& t) {
@@ -86,48 +99,35 @@ Matrix Cgan::sample_noise(std::size_t n, math::Rng& rng) const {
   return rng.normal_matrix(n, topology_.noise_dim, 0.0F, 1.0F);
 }
 
-void Cgan::validate_conditions(const Matrix& conditions,
-                               const char* fn) const {
-  if (conditions.cols() != topology_.cond_dim) {
-    throw DimensionError(std::string("Cgan::") + fn + ": condition width " +
-                         std::to_string(conditions.cols()) + " != " +
-                         std::to_string(topology_.cond_dim));
-  }
-  if (conditions.rows() == 0) {
-    throw InvalidArgumentError(std::string("Cgan::") + fn +
-                               ": empty condition batch");
-  }
+// gansec-lint: hot-path
+
+const Matrix& sample_generator(nn::Mlp& generator,
+                               const CganTopology& topology,
+                               const Matrix& conditions, math::Rng& rng) {
+  validate_conditions(topology, conditions, "generate");
+  auto& ws = math::Workspace::local();
+  const math::Workspace::Scope scope(ws);
+  Matrix& z = ws.acquire(conditions.rows(), topology.noise_dim);
+  rng.fill_normal(z, conditions.rows(), topology.noise_dim, 0.0F, 1.0F);
+  Matrix& g_in = ws.acquire(conditions.rows(),
+                            topology.noise_dim + topology.cond_dim);
+  math::hstack_into(g_in, z, conditions);
+  return generator.forward(g_in, /*training=*/false);
 }
+
+const Matrix& Cgan::generate_view(const Matrix& conditions, math::Rng& rng) {
+  return sample_generator(generator_, topology_, conditions, rng);
+}
+
+// gansec-lint: end-hot-path
 
 Matrix Cgan::generate(const Matrix& conditions, math::Rng& rng) {
   return generate_view(conditions, rng);
 }
 
-// gansec-lint: hot-path
-
-const Matrix& Cgan::generate_view(const Matrix& conditions, math::Rng& rng) {
-  validate_conditions(conditions, "generate");
-  auto& ws = math::Workspace::local();
-  const math::Workspace::Scope scope(ws);
-  Matrix& z = ws.acquire(conditions.rows(), topology_.noise_dim);
-  rng.fill_normal(z, conditions.rows(), topology_.noise_dim, 0.0F, 1.0F);
-  Matrix& g_in = ws.acquire(conditions.rows(),
-                            topology_.noise_dim + topology_.cond_dim);
-  math::hstack_into(g_in, z, conditions);
-  return generator_.forward(g_in, /*training=*/false);
-}
-
-// gansec-lint: end-hot-path
-
 Matrix Cgan::generate_for_condition(const Matrix& condition,
                                     std::size_t count, math::Rng& rng) {
-  return generate_for_condition_view(condition, count, rng);
-}
-
-const Matrix& Cgan::generate_for_condition_view(const Matrix& condition,
-                                                std::size_t count,
-                                                math::Rng& rng) {
-  validate_conditions(condition, "generate_for_condition");
+  validate_conditions(topology_, condition, "generate_for_condition");
   if (condition.rows() != 1) {
     throw DimensionError(
         "Cgan::generate_for_condition: expected a single condition row");
@@ -140,11 +140,11 @@ const Matrix& Cgan::generate_for_condition_view(const Matrix& condition,
   const math::Workspace::Scope scope(ws);
   Matrix& conds = ws.acquire(count, topology_.cond_dim);
   for (std::size_t r = 0; r < count; ++r) conds.set_row(r, condition);
-  return generate_view(conds, rng);
+  return sample_generator(generator_, topology_, conds, rng);
 }
 
 Matrix Cgan::discriminate(const Matrix& data, const Matrix& conditions) {
-  validate_conditions(conditions, "discriminate");
+  validate_conditions(topology_, conditions, "discriminate");
   if (data.cols() != topology_.data_dim) {
     throw DimensionError("Cgan::discriminate: data width mismatch");
   }

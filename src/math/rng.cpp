@@ -20,8 +20,10 @@ double Rng::normal(double mean, double stddev) {
   if (stddev < 0.0) {
     throw InvalidArgumentError("Rng::normal: stddev must be >= 0");
   }
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  // Scale a unit draw: N(mean, stddev) requires stddev > 0, and libstdc++
+  // computes the same `z * stddev + mean`, so the bits are unchanged.
+  std::normal_distribution<double> unit;
+  return unit(engine_) * stddev + mean;
 }
 
 std::int64_t Rng::randint(std::int64_t lo, std::int64_t hi) {

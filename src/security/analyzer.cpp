@@ -1,16 +1,13 @@
 #include "gansec/security/analyzer.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "gansec/core/execution.hpp"
 #include "gansec/error.hpp"
-#include "gansec/math/kernels.hpp"
 #include "gansec/math/workspace.hpp"
 #include "gansec/obs/log.hpp"
 #include "gansec/obs/metrics.hpp"
 #include "gansec/obs/trace.hpp"
-#include "gansec/stats/kde.hpp"
 
 namespace gansec::security {
 
@@ -43,6 +40,48 @@ obs::Counter& conditions_counter() {
 }
 
 }  // namespace
+
+std::vector<std::size_t> resolve_feature_indices(
+    const std::vector<std::size_t>& requested, std::size_t data_dim) {
+  if (requested.empty()) {
+    std::vector<std::size_t> all(data_dim);
+    std::iota(all.begin(), all.end(), 0);
+    return all;
+  }
+  for (const std::size_t idx : requested) {
+    if (idx >= data_dim) {
+      throw InvalidArgumentError("feature_indices: index out of range");
+    }
+  }
+  return requested;
+}
+
+std::vector<stats::ParzenKde> fit_condition(
+    nn::Mlp& generator, const gan::CganTopology& topology,
+    std::size_t condition, const std::vector<std::size_t>& features,
+    std::size_t gsize, double h, math::Rng& rng) {
+  if (condition >= topology.cond_dim) {
+    throw InvalidArgumentError("fit_condition: condition out of range");
+  }
+  auto& ws = math::Workspace::local();
+  const math::Workspace::Scope scope(ws);
+  // Line 6: X_G = GSize samples from G(Z | C_i).
+  Matrix& conds = ws.acquire(gsize, topology.cond_dim, /*zeroed=*/true);
+  for (std::size_t r = 0; r < gsize; ++r) conds(r, condition) = 1.0F;
+  const Matrix& generated =
+      gan::sample_generator(generator, topology, conds, rng);
+  // Line 8: FtDistr, a Parzen Gaussian window per frequency feature.
+  std::vector<stats::ParzenKde> fits;
+  fits.reserve(features.size());
+  for (const std::size_t ft : features) {
+    std::vector<double> samples(gsize);
+    for (std::size_t r = 0; r < gsize; ++r) {
+      samples[r] = static_cast<double>(generated.at(r, ft));
+    }
+    fits.emplace_back(std::move(samples), h);
+  }
+  return fits;
+}
 
 double LikelihoodResult::mean_correct(std::size_t condition) const {
   const auto& row = avg_correct.at(condition);
@@ -106,17 +145,8 @@ LikelihoodResult LikelihoodAnalyzer::analyze_generator(
         "LikelihoodAnalyzer: test set does not match model topology");
   }
 
-  std::vector<std::size_t> indices = config_.feature_indices;
-  if (indices.empty()) {
-    indices.resize(topology.data_dim);
-    std::iota(indices.begin(), indices.end(), 0);
-  }
-  for (const std::size_t idx : indices) {
-    if (idx >= topology.data_dim) {
-      throw InvalidArgumentError(
-          "LikelihoodAnalyzer: feature index out of range");
-    }
-  }
+  const std::vector<std::size_t> indices =
+      resolve_feature_indices(config_.feature_indices, topology.data_dim);
 
   const std::size_t n_cond = topology.cond_dim;
   LikelihoodResult result;
@@ -129,48 +159,24 @@ LikelihoodResult LikelihoodAnalyzer::analyze_generator(
   math::Rng rng(seed_);
 
   GANSEC_SPAN("alg3.analyze");
-  // Per-condition scratch comes from this thread's workspace: the same
-  // slots are rewound and reused every outer iteration.
-  auto& ws = math::Workspace::local();
   // Algorithm 3 outer loop: each condition C_i.
   for (std::size_t ci = 0; ci < n_cond; ++ci) {
     GANSEC_SPAN("alg3.condition");
-    const math::Workspace::Scope scope(ws);
-    // Line 6: X_G = GSize samples from G(Z | C_i).
-    Matrix& conds = ws.acquire(config_.generator_samples, n_cond, true);
-    for (std::size_t r = 0; r < config_.generator_samples; ++r) {
-      conds(r, ci) = 1.0F;
-    }
-    Matrix& noise = ws.acquire(config_.generator_samples, topology.noise_dim);
-    rng.fill_normal(noise, config_.generator_samples, topology.noise_dim,
-                    0.0F, 1.0F);
-    Matrix& g_in =
-        ws.acquire(config_.generator_samples, topology.noise_dim + n_cond);
-    math::hstack_into(g_in, noise, conds);
-    const Matrix& generated = generator.forward(g_in, /*training=*/false);
+    // Lines 6-8 on this thread; only this condition's estimators are live.
+    const std::vector<stats::ParzenKde> fits =
+        fit_condition(generator, topology, ci, indices,
+                      config_.generator_samples, config_.parzen_h, rng);
 
-    // Inner loop over frequency-feature indices. Every feature's KDE fit
-    // and scoring pass is independent and writes only its own [ci][fpos]
-    // slots, so the loop fans out across the pool; test samples are always
-    // scored in ascending order within a feature, keeping the likelihoods
-    // bit-identical at any thread count. All rng draws happened above.
-    // Each pool worker gathers into its own thread-local workspace buffer.
+    // Inner loop over frequency-feature indices. Every feature's scoring
+    // pass is independent and writes only its own [ci][fpos] slots, so the
+    // loop fans out across the pool; test samples are always scored in
+    // ascending order within a feature, keeping the likelihoods
+    // bit-identical at any thread count.
     core::parallel_for(0, indices.size(), 1, [&](std::size_t f0,
                                                  std::size_t f1) {
-      auto& worker_ws = math::Workspace::local();
-      const math::Workspace::Scope worker_scope(worker_ws);
-      std::vector<double>& feature_samples =
-          worker_ws.acquire_doubles(config_.generator_samples);
       for (std::size_t fpos = f0; fpos < f1; ++fpos) {
         const std::size_t ft = indices[fpos];
-        for (std::size_t r = 0; r < config_.generator_samples; ++r) {
-          feature_samples[r] = static_cast<double>(generated(r, ft));
-        }
-        // Line 8: FtDistr via the Parzen Gaussian window (a non-owning
-        // view over this worker's scratch).
-        const stats::ParzenScorer distr(feature_samples.data(),
-                                        feature_samples.size(),
-                                        config_.parzen_h);
+        const stats::ParzenKde& distr = fits[fpos];
 
         double cor_like = 0.0;
         double inc_like = 0.0;

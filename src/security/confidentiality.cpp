@@ -4,8 +4,8 @@
 #include <numeric>
 
 #include "gansec/error.hpp"
+#include "gansec/security/analyzer.hpp"
 #include "gansec/stats/info.hpp"
-#include "gansec/stats/kde.hpp"
 
 namespace gansec::security {
 
@@ -28,35 +28,16 @@ std::vector<std::size_t> ConfidentialityAnalyzer::infer_conditions(
     throw DimensionError(
         "ConfidentialityAnalyzer: feature width does not match model");
   }
-  std::vector<std::size_t> indices = config_.feature_indices;
-  if (indices.empty()) {
-    indices.resize(topology.data_dim);
-    std::iota(indices.begin(), indices.end(), 0);
-  }
+  const std::vector<std::size_t> indices =
+      resolve_feature_indices(config_.feature_indices, topology.data_dim);
 
   // Build per-(condition, feature) Parzen models from generator samples.
   math::Rng rng(seed_);
   std::vector<std::vector<stats::ParzenKde>> models;
-  models.reserve(topology.cond_dim);
   for (std::size_t ci = 0; ci < topology.cond_dim; ++ci) {
-    Matrix cond(1, topology.cond_dim, 0.0F);
-    cond(0, ci) = 1.0F;
-    const Matrix generated =
-        model.generate_for_condition(cond, config_.generator_samples, rng);
-    std::vector<stats::ParzenKde> per_feature;
-    per_feature.reserve(indices.size());
-    for (const std::size_t ft : indices) {
-      if (ft >= topology.data_dim) {
-        throw InvalidArgumentError(
-            "ConfidentialityAnalyzer: feature index out of range");
-      }
-      std::vector<double> samples(config_.generator_samples);
-      for (std::size_t r = 0; r < samples.size(); ++r) {
-        samples[r] = static_cast<double>(generated(r, ft));
-      }
-      per_feature.emplace_back(std::move(samples), config_.parzen_h);
-    }
-    models.push_back(std::move(per_feature));
+    models.push_back(fit_condition(model.generator(), topology, ci, indices,
+                                   config_.generator_samples,
+                                   config_.parzen_h, rng));
   }
 
   // Naive-Bayes attacker: argmax_c sum_ft log Pr(x_ft | c).

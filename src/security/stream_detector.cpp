@@ -1,12 +1,11 @@
 #include "gansec/security/stream_detector.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "gansec/error.hpp"
-#include "gansec/math/rng.hpp"
 #include "gansec/obs/flight_recorder.hpp"
+#include "gansec/security/analyzer.hpp"
 
 namespace gansec::security {
 
@@ -30,37 +29,19 @@ ScoringModel::ScoringModel(gan::Cgan& model, DetectorConfig config,
   const auto& topology = model.topology();
   conditions_ = topology.cond_dim;
   data_dim_ = topology.data_dim;
-  indices_ = config_.feature_indices;
-  if (indices_.empty()) {
-    indices_.resize(topology.data_dim);
-    std::iota(indices_.begin(), indices_.end(), 0);
-  }
-  for (const std::size_t idx : indices_) {
-    if (idx >= topology.data_dim) {
-      throw InvalidArgumentError("ScoringModel: feature index out of range");
-    }
-  }
+  indices_ =
+      resolve_feature_indices(config_.feature_indices, topology.data_dim);
 
-  // One RNG stream, conditions in order, features in scoring order: the
-  // same (model, config, seed) always yields the same estimators.
-  const std::size_t gsize = config_.generator_samples;
-  samples_.resize(conditions_ * indices_.size() * gsize);
+  // One RNG stream, conditions in order: the same (model, config, seed)
+  // always yields the same estimators.
   math::Rng rng(seed);
+  fits_.reserve(conditions_ * indices_.size());
   for (std::size_t ci = 0; ci < conditions_; ++ci) {
-    Matrix cond(1, topology.cond_dim, 0.0F);
-    cond(0, ci) = 1.0F;
-    const Matrix generated = model.generate_for_condition(cond, gsize, rng);
-    for (std::size_t fpos = 0; fpos < indices_.size(); ++fpos) {
-      double* dst = &samples_[(ci * indices_.size() + fpos) * gsize];
-      const std::size_t ft = indices_[fpos];
-      for (std::size_t r = 0; r < gsize; ++r) {
-        dst[r] = static_cast<double>(generated(r, ft));
-      }
+    for (stats::ParzenKde& fit :
+         fit_condition(model.generator(), topology, ci, indices_,
+                       config_.generator_samples, config_.parzen_h, rng)) {
+      fits_.push_back(std::move(fit));
     }
-  }
-  scorers_.reserve(conditions_ * indices_.size());
-  for (std::size_t m = 0; m < conditions_ * indices_.size(); ++m) {
-    scorers_.emplace_back(&samples_[m * gsize], gsize, config_.parzen_h);
   }
 }
 
@@ -73,7 +54,7 @@ double ScoringModel::score(const float* features, std::size_t count,
   if (count != data_dim_) {
     throw DimensionError("ScoringModel::score: feature width mismatch");
   }
-  const stats::ParzenScorer* per = &scorers_[expected_label * indices_.size()];
+  const stats::ParzenKde* per = &fits_[expected_label * indices_.size()];
   double acc = 0.0;
   for (std::size_t fpos = 0; fpos < indices_.size(); ++fpos) {
     const double log_like = per[fpos].log_density(

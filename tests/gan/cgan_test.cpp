@@ -81,6 +81,29 @@ TEST(Cgan, GenerateForCondition) {
                InvalidArgumentError);
 }
 
+TEST(Cgan, SampleGeneratorOverBareNetworkMatchesGenerate) {
+  // A standalone generator (e.g. a mid-training checkpoint) draws the
+  // same sequence as a Cgan holding equal weights.
+  const CganTopology t = small_topology();
+  nn::Mlp generator = build_generator(t);
+  Cgan model(t, build_generator(t), build_discriminator(t));
+  Rng init_a(6);
+  Rng init_b(6);
+  generator.init_weights(init_a);
+  model.generator().init_weights(init_b);
+  Matrix conds(4, 3, 0.0F);
+  for (std::size_t r = 0; r < 4; ++r) conds(r, r % 3) = 1.0F;
+  Rng rng_a(12);
+  Rng rng_b(12);
+  EXPECT_EQ(sample_generator(generator, t, conds, rng_a),
+            model.generate(conds, rng_b));
+  EXPECT_EQ(rng_a.engine(), rng_b.engine());
+  EXPECT_THROW(sample_generator(generator, t, Matrix(2, 4), rng_a),
+               DimensionError);
+  EXPECT_THROW(sample_generator(generator, t, Matrix(0, 3), rng_a),
+               InvalidArgumentError);
+}
+
 TEST(Cgan, GenerateIsStochastic) {
   Cgan model(small_topology(), 1);
   Rng rng(5);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
 
 #include "gansec/error.hpp"
@@ -61,6 +62,31 @@ TEST(Rng, NormalMoments) {
 TEST(Rng, NormalNegativeStddevThrows) {
   Rng rng(0);
   EXPECT_THROW(rng.normal(0.0, -1.0), InvalidArgumentError);
+}
+
+TEST(Rng, NormalZeroStddevReturnsMeanAndAdvancesLikeOneDraw) {
+  // std::normal_distribution requires stddev > 0; Rng::normal must still
+  // accept 0 (a noiseless simulator) and stay in step with a unit draw.
+  Rng zero(31);
+  Rng unit(31);
+  for (const double mean : {0.0, -1.5, 4.25, 1e6}) {
+    EXPECT_EQ(zero.normal(mean, 0.0), mean);
+    unit.normal(mean, 1.0);
+    EXPECT_EQ(zero.engine(), unit.engine());
+  }
+}
+
+TEST(Rng, NormalMatchesStdDistributionBitForBit) {
+  Rng rng(77);
+  Rng scale(5);
+  for (int i = 0; i < 2000; ++i) {
+    const double mean = scale.uniform(-10.0, 10.0);
+    const double stddev = scale.uniform(1e-3, 5.0);
+    std::mt19937_64 copy = rng.engine();
+    std::normal_distribution<double> reference(mean, stddev);
+    EXPECT_EQ(rng.normal(mean, stddev), reference(copy));
+    EXPECT_EQ(rng.engine(), copy);
+  }
 }
 
 TEST(Rng, RandintInclusive) {

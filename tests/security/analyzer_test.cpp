@@ -133,6 +133,32 @@ TEST(LikelihoodAnalyzer, AnalyzeGeneratorMatchesAnalyze) {
   EXPECT_EQ(via_model.avg_correct, via_generator.avg_correct);
 }
 
+TEST(ResolveFeatureIndices, EmptyMeansAllAndRangeIsChecked) {
+  EXPECT_EQ(resolve_feature_indices({}, 4),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(resolve_feature_indices({3, 1}, 4),
+            (std::vector<std::size_t>{3, 1}));
+  EXPECT_THROW(resolve_feature_indices({1, 4}, 4), InvalidArgumentError);
+}
+
+TEST(FitCondition, RejectsBadArguments) {
+  auto& setup = trained_setup();
+  nn::Mlp& generator = setup.model.generator();
+  const gan::CganTopology& topology = setup.model.topology();
+  math::Rng rng(1);
+  EXPECT_THROW(fit_condition(generator, topology, 3, {0}, 16, 0.2, rng),
+               InvalidArgumentError);
+  EXPECT_THROW(fit_condition(generator, topology, 0, {0}, 0, 0.2, rng),
+               InvalidArgumentError);
+  EXPECT_THROW(fit_condition(generator, topology, 0, {0}, 16, 0.0, rng),
+               InvalidArgumentError);
+  EXPECT_THROW(fit_condition(generator, topology, 0, {24}, 16, 0.2, rng),
+               DimensionError);
+  EXPECT_EQ(fit_condition(generator, topology, 2, {4, 0, 9}, 16, 0.2, rng)
+                .size(),
+            3U);
+}
+
 TEST(LikelihoodResult, Aggregates) {
   LikelihoodResult result;
   result.feature_indices = {0, 1};

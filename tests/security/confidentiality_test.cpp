@@ -43,6 +43,11 @@ TEST(ConfidentialityAnalyzer, InferRejectsWrongWidth) {
   const ConfidentialityAnalyzer analyzer(fast_config());
   EXPECT_THROW(analyzer.infer_conditions(setup.model, math::Matrix(2, 5)),
                DimensionError);
+  ConfidentialityConfig config = fast_config();
+  config.feature_indices = {999};
+  EXPECT_THROW(ConfidentialityAnalyzer(config).infer_conditions(
+                   setup.model, setup.test_set.features),
+               InvalidArgumentError);
 }
 
 TEST(ConfidentialityAnalyzer, AttackerBeatsChanceOnTrainedModel) {
