@@ -6,6 +6,7 @@
 // late-training D balance and the Algorithm 3 correct/incorrect margin.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "common.hpp"
 #include "gansec/security/analyzer.hpp"
@@ -52,9 +53,11 @@ int main() {
     }
     std::printf("%zu\t%.4f\t%.4f\t%.3f\t%.4f\t%.4f\t%.4f\n", k, late_g,
                 late_d, late_fake, cor, inc, cor - inc);
-    reporter.add_metric("k" + std::to_string(k) + ".margin", cor - inc,
+    std::string key = "k";
+    key += std::to_string(k);
+    reporter.add_metric(key + ".margin", cor - inc,
                         bench::Direction::kHigherIsBetter);
-    reporter.add_metric("k" + std::to_string(k) + ".d_fake", late_fake,
+    reporter.add_metric(key + ".d_fake", late_fake,
                         bench::Direction::kTwoSided);
   }
   std::cout << "\n(higher margin = better learned conditional; k trades "

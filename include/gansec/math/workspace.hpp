@@ -1,11 +1,11 @@
 // Per-thread workspace arena for iteration-scoped numeric scratch.
 //
-// A Workspace hands out shape-checked scratch buffers (float matrices and
-// double vectors) from a bump-cursor arena. The slots are never destroyed:
-// `reset()` — or the RAII `Workspace::Scope` — only rewinds the cursor, so
-// a loop that acquires the same shapes in the same order every iteration
-// reuses the same backing storage and performs zero heap allocations after
-// its first pass. `Workspace::local()` returns one arena per thread, so
+// A Workspace hands out shape-checked scratch float matrices from a
+// bump-cursor arena. The slots are never destroyed: `reset()` — or the
+// RAII `Workspace::Scope` — only rewinds the cursor, so a loop that
+// acquires the same shapes in the same order every iteration reuses the
+// same backing storage and performs zero heap allocations after its first
+// pass. `Workspace::local()` returns one arena per thread, so
 // concurrent trainers (the flow-pair sweep) never contend.
 //
 // Ownership rules (see DESIGN.md "Zero-allocation numeric substrate"):
@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <vector>
 
 #include "gansec/math/matrix.hpp"
 
@@ -41,10 +40,7 @@ class Workspace {
   /// unless `zeroed` is set.
   Matrix& acquire(std::size_t rows, std::size_t cols, bool zeroed = false);
 
-  /// Next scratch double buffer, resized to n (contents stale).
-  std::vector<double>& acquire_doubles(std::size_t n);
-
-  /// Rewinds both cursors to zero; storage is retained for reuse.
+  /// Rewinds the cursor to zero; storage is retained for reuse.
   void reset();
 
   /// RAII cursor save/restore, so nested users (a layer inside a trainer
@@ -53,20 +49,14 @@ class Workspace {
   class Scope {
    public:
     explicit Scope(Workspace& ws)
-        : ws_(ws),
-          saved_matrix_(ws.matrix_cursor_),
-          saved_doubles_(ws.doubles_cursor_) {}
-    ~Scope() {
-      ws_.matrix_cursor_ = saved_matrix_;
-      ws_.doubles_cursor_ = saved_doubles_;
-    }
+        : ws_(ws), saved_matrix_(ws.matrix_cursor_) {}
+    ~Scope() { ws_.matrix_cursor_ = saved_matrix_; }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
     Workspace& ws_;
     std::size_t saved_matrix_;
-    std::size_t saved_doubles_;
   };
 
   /// Number of live (acquired since last reset) matrix slots.
@@ -80,9 +70,7 @@ class Workspace {
   void note_growth(std::size_t grown_bytes);
 
   std::deque<Matrix> matrices_;
-  std::deque<std::vector<double>> doubles_;
   std::size_t matrix_cursor_ = 0;
-  std::size_t doubles_cursor_ = 0;
   std::size_t footprint_bytes_ = 0;
   std::size_t high_water_bytes_ = 0;
 };

@@ -4,7 +4,7 @@
 // module is the storage half done properly: a train-once/serve-many
 // container every serving-shaped direction (streaming detector, fleet
 // serving, warm-start) loads from. One file holds one object (an Mlp, a
-// Cgan, a trainer-resume snapshot, a Parzen scorer):
+// Cgan or a trainer-resume snapshot):
 //
 //   [ header | meta (JSON) | padding | payload (tensors) ]
 //
@@ -30,8 +30,8 @@
 // Payload — raw tensor bytes in directory order. Every tensor offset
 // (relative to the payload start) is 64-byte aligned, and the reader keeps
 // the whole file in a 64-byte-aligned buffer, so a tensor view pointer is
-// itself 64-byte aligned: scorers (and future mmap/SIMD consumers) bind
-// zero-copy without a deserialization pass.
+// itself 64-byte aligned: a reader (or a future mmap/SIMD consumer) views
+// a tensor in place without a deserialization pass.
 //
 // The loader is paranoid by contract: every malformed, truncated,
 // bit-flipped, zero-filled or version-bumped input fails with a typed
@@ -96,8 +96,8 @@ struct TensorInfo {
 /// from obs::build_info().
 class CheckpointWriter {
  public:
-  /// `kind` names the stored object ("mlp", "cgan", "cgan_trainer",
-  /// "parzen", ...); loaders dispatch on it.
+  /// `kind` names the stored object ("mlp", "cgan" or "cgan_trainer");
+  /// loaders dispatch on it.
   explicit CheckpointWriter(std::string kind);
 
   /// Object-structure attributes, kept in insertion order. The const

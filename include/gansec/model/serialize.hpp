@@ -10,10 +10,7 @@
 //   "cgan_trainer" a "cgan" plus the full training state (TrainConfig,
 //                  minibatch/noise RNG cursor, Adam/Momentum moments,
 //                  iteration counter) so training resumes bit-identically
-//                  to an uninterrupted run;
-//   "parzen"       a Parzen Gaussian-window scorer: f64 samples that the
-//                  loaded scorer binds ZERO-COPY out of the checkpoint
-//                  buffer (64-byte aligned, no deserialization pass).
+//                  to an uninterrupted run.
 //
 // Every load validates structure and checksums via CheckpointReader and
 // throws typed gansec::Error on any defect.
@@ -23,7 +20,6 @@
 
 #include "gansec/gan/trainer.hpp"
 #include "gansec/model/checkpoint.hpp"
-#include "gansec/stats/kde.hpp"
 
 namespace gansec::model {
 
@@ -78,39 +74,5 @@ gan::TrainConfig read_train_config(const CheckpointReader& reader);
 /// the trainer's optimizer kind or parameter shapes.
 void restore_trainer_state(gan::CganTrainer& trainer,
                            const CheckpointReader& reader);
-
-// -- Parzen scorer -----------------------------------------------------
-
-void save_parzen_checkpoint(const stats::ParzenScorer& scorer,
-                            const std::string& path);
-
-/// A loaded Parzen checkpoint: owns the aligned checkpoint buffer and a
-/// scorer viewing the sample tensor in place — the zero-copy serving
-/// path. Move-only (the scorer tracks the buffer).
-class ParzenCheckpoint {
- public:
-  static ParzenCheckpoint from_reader(CheckpointReader reader);
-  static ParzenCheckpoint load(const std::string& path);
-
-  ParzenCheckpoint(ParzenCheckpoint&&) noexcept = default;
-  ParzenCheckpoint& operator=(ParzenCheckpoint&&) noexcept = default;
-
-  const stats::ParzenScorer& scorer() const { return scorer_; }
-  /// The checkpoint-buffer sample pointer the scorer binds to (exposed so
-  /// tests can assert the zero-copy property).
-  const double* samples_data() const { return samples_; }
-  const CheckpointReader& reader() const { return reader_; }
-
- private:
-  ParzenCheckpoint(CheckpointReader reader, const double* samples,
-                   std::size_t count, double bandwidth)
-      : reader_(std::move(reader)),
-        samples_(samples),
-        scorer_(samples_, count, bandwidth) {}
-
-  CheckpointReader reader_;
-  const double* samples_;
-  stats::ParzenScorer scorer_;
-};
 
 }  // namespace gansec::model

@@ -3,9 +3,7 @@
 // Algorithm 3 of the paper fits a "Parzen Gaussian Window" distribution to
 // generator samples per frequency feature and scores test samples with it
 // (the sklearn-style `score` returning a log-likelihood, then
-// Like = exp(LogLike) * h). ParzenKde owns its samples; ParzenScorer is the
-// non-owning view the scoring hot loop uses over caller-managed buffers
-// (e.g. per-thread workspace scratch) — both produce identical values.
+// Like = exp(LogLike) * h). ParzenKde owns its samples and is copyable.
 #pragma once
 
 #include <cstddef>
@@ -13,20 +11,15 @@
 
 namespace gansec::stats {
 
-/// Non-owning Parzen Gaussian-window scorer over a borrowed sample buffer.
-/// The buffer must stay alive (and unmodified) for the scorer's lifetime.
-class ParzenScorer {
+class ParzenKde {
  public:
-  /// Validates on construction: throws InvalidArgumentError on an empty
-  /// buffer or non-positive/non-finite h, NumericError on non-finite
-  /// samples.
-  ParzenScorer(const double* samples, std::size_t count, double bandwidth);
+  /// Fits the estimator: density(x) = (1/n) sum_i N(x; sample_i, h^2).
+  /// Throws InvalidArgumentError on empty samples or non-positive/
+  /// non-finite h, NumericError on non-finite samples.
+  ParzenKde(std::vector<double> samples, double bandwidth);
 
   double bandwidth() const { return h_; }
-  std::size_t sample_count() const { return count_; }
-  /// The borrowed sample buffer (exposed so checkpoints can persist the
-  /// estimator and tests can assert zero-copy rebinding).
-  const double* samples() const { return samples_; }
+  std::size_t sample_count() const { return samples_.size(); }
 
   /// Log density at x (two-pass log-sum-exp, numerically stable, no
   /// allocation). Always finite: when every kernel underflows (x far from
@@ -48,39 +41,8 @@ class ParzenScorer {
   double scaled_likelihood(double x) const;
 
  private:
-  const double* samples_;
-  std::size_t count_;
-  double h_;
-};
-
-/// Owning variant: copies/moves the samples in and scores through a
-/// ParzenScorer view of them.
-class ParzenKde {
- public:
-  /// Fits the estimator: density(x) = (1/n) sum_i N(x; sample_i, h^2).
-  /// Throws InvalidArgumentError on empty samples or non-positive h.
-  ParzenKde(std::vector<double> samples, double bandwidth);
-
-  // Movable (the scorer's pointer follows the vector's heap buffer) but not
-  // copyable: a copied scorer would still view the source's samples.
-  ParzenKde(ParzenKde&&) noexcept = default;
-  ParzenKde& operator=(ParzenKde&&) noexcept = default;
-  ParzenKde(const ParzenKde&) = delete;
-  ParzenKde& operator=(const ParzenKde&) = delete;
-
-  double bandwidth() const { return scorer_.bandwidth(); }
-  std::size_t sample_count() const { return samples_.size(); }
-
-  double log_density(double x) const { return scorer_.log_density(x); }
-  double density(double x) const { return scorer_.density(x); }
-  double score(double x) const { return scorer_.score(x); }
-  double scaled_likelihood(double x) const {
-    return scorer_.scaled_likelihood(x);
-  }
-
- private:
   std::vector<double> samples_;
-  ParzenScorer scorer_;
+  double h_;
 };
 
 }  // namespace gansec::stats

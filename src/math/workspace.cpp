@@ -74,23 +74,6 @@ Matrix& Workspace::acquire(std::size_t rows, std::size_t cols, bool zeroed) {
   return slot;
 }
 
-std::vector<double>& Workspace::acquire_doubles(std::size_t n) {
-  acquires_counter().add();
-  if (doubles_cursor_ == doubles_.size()) {
-    doubles_.emplace_back();
-  }
-  std::vector<double>& slot = doubles_[doubles_cursor_++];
-  const std::size_t before = slot.capacity();
-  slot.resize(n);
-  if (slot.capacity() > before) {
-    note_growth((slot.capacity() - before) * sizeof(double));
-  }
-  return slot;
-}
-
-void Workspace::reset() {
-  matrix_cursor_ = 0;
-  doubles_cursor_ = 0;
-}
+void Workspace::reset() { matrix_cursor_ = 0; }
 
 }  // namespace gansec::math

@@ -504,39 +504,4 @@ void restore_trainer_state(gan::CganTrainer& trainer,
   restore_optimizer(trainer.optimizer_d(), reader, "opt_d");
 }
 
-// ---------------------------------------------------------------------------
-// Parzen scorer
-
-void save_parzen_checkpoint(const stats::ParzenScorer& scorer,
-                            const std::string& path) {
-  GANSEC_SPAN("model.ckpt.save");
-  CheckpointWriter writer("parzen");
-  writer.add_attr("bandwidth", scorer.bandwidth());
-  writer.add_attr("count",
-                  static_cast<std::uint64_t>(scorer.sample_count()));
-  writer.add_f64("samples", scorer.samples(), scorer.sample_count());
-  writer.write_file(path);
-}
-
-ParzenCheckpoint ParzenCheckpoint::from_reader(CheckpointReader reader) {
-  if (reader.kind() != "parzen") {
-    throw ParseError("checkpoint: expected kind 'parzen', found '" +
-                     reader.kind() + "'");
-  }
-  const double bandwidth = reader.attr_number("bandwidth");
-  const auto [samples, count] = reader.f64_view("samples");
-  if (reader.attr_u64("count") != count) {
-    throw ParseError(
-        "checkpoint: parzen 'count' attr does not match the sample tensor");
-  }
-  // The buffer lives on the heap behind the reader's unique_ptr, so the
-  // view pointer survives moving the reader into the ParzenCheckpoint.
-  return ParzenCheckpoint(std::move(reader), samples, count, bandwidth);
-}
-
-ParzenCheckpoint ParzenCheckpoint::load(const std::string& path) {
-  GANSEC_SPAN("model.ckpt.load");
-  return from_reader(CheckpointReader::from_file(path));
-}
-
 }  // namespace gansec::model

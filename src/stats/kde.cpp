@@ -35,18 +35,17 @@ inline double kernel_exponent(double x, double s, double h, double inv_2h2) {
 
 }  // namespace
 
-ParzenScorer::ParzenScorer(const double* samples, std::size_t count,
-                           double bandwidth)
-    : samples_(samples), count_(count), h_(bandwidth) {
-  if (samples_ == nullptr || count_ == 0) {
+ParzenKde::ParzenKde(std::vector<double> samples, double bandwidth)
+    : samples_(std::move(samples)), h_(bandwidth) {
+  if (samples_.empty()) {
     throw InvalidArgumentError("ParzenKde: empty sample set");
   }
   if (h_ <= 0.0 || !std::isfinite(h_)) {
     throw InvalidArgumentError(
         "ParzenKde: bandwidth must be positive and finite");
   }
-  for (std::size_t i = 0; i < count_; ++i) {
-    if (!std::isfinite(samples_[i])) {
+  for (const double s : samples_) {
+    if (!std::isfinite(s)) {
       throw NumericError("ParzenKde: non-finite sample");
     }
   }
@@ -56,7 +55,7 @@ ParzenScorer::ParzenScorer(const double* samples, std::size_t count,
 // the two-pass logsumexp exists precisely to avoid an exponent buffer.
 // gansec-lint: hot-path
 
-double ParzenScorer::log_density(double x) const {
+double ParzenKde::log_density(double x) const {
   if (!std::isfinite(x)) {
     throw NumericError("ParzenKde::log_density: non-finite query");
   }
@@ -66,12 +65,13 @@ double ParzenScorer::log_density(double x) const {
   // order, so the accumulation is bit-identical to the buffered form.
   const double inv_2h2 = 1.0 / (2.0 * h_ * h_);
   double max_exponent = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < count_; ++i) {
+  const std::size_t count = samples_.size();
+  for (std::size_t i = 0; i < count; ++i) {
     max_exponent =
         std::max(max_exponent, kernel_exponent(x, samples_[i], h_, inv_2h2));
   }
   const double log_norm =
-      std::log(static_cast<double>(count_)) + std::log(h_) +
+      std::log(static_cast<double>(count)) + std::log(h_) +
       0.5 * std::log(2.0 * std::numbers::pi);
   if (max_exponent == -std::numeric_limits<double>::infinity()) {
     // Every kernel underflowed (x astronomically far from all samples, or
@@ -86,26 +86,21 @@ double ParzenScorer::log_density(double x) const {
     return -std::numeric_limits<double>::max();
   }
   double acc = 0.0;
-  for (std::size_t i = 0; i < count_; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     acc += std::exp(kernel_exponent(x, samples_[i], h_, inv_2h2) -
                     max_exponent);
   }
   return max_exponent + std::log(acc) - log_norm;
 }
 
-double ParzenScorer::density(double x) const {
+double ParzenKde::density(double x) const {
   return std::exp(log_density(x));
 }
 
-double ParzenScorer::scaled_likelihood(double x) const {
+double ParzenKde::scaled_likelihood(double x) const {
   return density(x) * h_;
 }
 
 // gansec-lint: end-hot-path
-
-ParzenKde::ParzenKde(std::vector<double> samples, double bandwidth)
-    : samples_(std::move(samples)),
-      scorer_(samples_.empty() ? nullptr : samples_.data(), samples_.size(),
-              bandwidth) {}
 
 }  // namespace gansec::stats

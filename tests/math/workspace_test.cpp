@@ -109,18 +109,6 @@ TEST(Workspace, HighWaterTracksFootprint) {
   EXPECT_GE(ws.high_water_bytes(), 2 * 100 * sizeof(float));
 }
 
-TEST(Workspace, AcquireDoublesResizesAndReuses) {
-  Workspace ws;
-  std::vector<double>& d = ws.acquire_doubles(64);
-  EXPECT_EQ(d.size(), 64U);
-  const double* storage = d.data();
-  ws.reset();
-  std::vector<double>& again = ws.acquire_doubles(32);
-  EXPECT_EQ(&again, &d);
-  EXPECT_EQ(again.size(), 32U);
-  EXPECT_EQ(again.data(), storage);
-}
-
 TEST(Workspace, LocalIsPerThreadSingleton) {
   Workspace& a = Workspace::local();
   Workspace& b = Workspace::local();

@@ -76,24 +76,5 @@ TEST(GoldenFixture, MlpCheckpointStillLoads) {
   EXPECT_NEAR(out(1, 1), 0.483270943F, 1e-6F);
 }
 
-TEST(GoldenFixture, ParzenCheckpointStillLoadsZeroCopy) {
-  const ParzenCheckpoint loaded =
-      ParzenCheckpoint::load(fixture("golden_parzen_v1.gsm"));
-  EXPECT_EQ(loaded.reader().file_bytes(), 424U);
-  EXPECT_EQ(loaded.reader().crc(), 0xA1A71662U);
-  EXPECT_EQ(loaded.scorer().sample_count(), 5U);
-  EXPECT_EQ(loaded.scorer().bandwidth(), 0.05);
-  // Zero-copy binding holds for files written by the original v1 writer.
-  EXPECT_EQ(loaded.scorer().samples(), loaded.samples_data());
-  // Sample doubles are exact decimals-in-binary commitments.
-  EXPECT_EQ(loaded.samples_data()[0], 0.1);
-  EXPECT_EQ(loaded.samples_data()[4], 0.9);
-  // Densities recorded at fixture-commit time.
-  EXPECT_NEAR(loaded.scorer().log_density(0.0), -1.5326166360145532, 1e-12);
-  EXPECT_NEAR(loaded.scorer().log_density(0.3), -0.031538614698328415,
-              1e-12);
-  EXPECT_NEAR(loaded.scorer().log_density(0.5), 0.4673632811938116, 1e-12);
-}
-
 }  // namespace
 }  // namespace gansec::model

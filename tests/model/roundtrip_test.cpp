@@ -1,14 +1,12 @@
 // gansec.model.v1 round-trip battery: a saved object must load back
 // bit-identical in every observable way — weights, forward passes,
-// generator draws across thread counts, Parzen densities through the
-// zero-copy binding, and a resumed training run versus an uninterrupted
-// one.
+// generator draws across thread counts, and a resumed training run versus
+// an uninterrupted one.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <vector>
 
 #include "gansec/core/execution.hpp"
 #include "gansec/error.hpp"
@@ -22,7 +20,6 @@
 #include "gansec/nn/dense.hpp"
 #include "gansec/nn/dropout.hpp"
 #include "gansec/nn/mlp.hpp"
-#include "gansec/stats/kde.hpp"
 
 namespace gansec::model {
 namespace {
@@ -204,46 +201,6 @@ TEST(CganRoundTrip, WrongKindFailsTyped) {
   const std::string path = temp_path("not_a_cgan.gsm");
   save_mlp_checkpoint(mlp, path);
   EXPECT_THROW(load_cgan_checkpoint_file(path), ParseError);
-}
-
-TEST(ParzenRoundTrip, ZeroCopyBindingAndBitIdenticalDensities) {
-  std::vector<double> samples = {0.1, 0.4, 0.42, 0.7, 0.95, 0.33};
-  const stats::ParzenScorer original(samples.data(), samples.size(), 0.05);
-  const std::string path = temp_path("parzen.gsm");
-  save_parzen_checkpoint(original, path);
-
-  const ParzenCheckpoint loaded = ParzenCheckpoint::load(path);
-  // The zero-copy contract: the scorer views the checkpoint buffer itself,
-  // at a 64-byte-aligned address — no copied-out sample vector exists.
-  EXPECT_EQ(loaded.scorer().samples(), loaded.samples_data());
-  const auto [view, count] = loaded.reader().f64_view("samples");
-  EXPECT_EQ(loaded.samples_data(), view);
-  ASSERT_EQ(count, samples.size());
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(view) % kTensorAlignment, 0U);
-
-  EXPECT_EQ(loaded.scorer().bandwidth(), original.bandwidth());
-  EXPECT_EQ(loaded.scorer().sample_count(), original.sample_count());
-  for (const double x : {-1.0, 0.0, 0.33, 0.5, 1.0, 2.5}) {
-    // Bit-identical, not approximately equal: same doubles in, same
-    // arithmetic, same doubles out.
-    const double a = original.log_density(x);
-    const double b = loaded.scorer().log_density(x);
-    EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "x=" << x;
-  }
-}
-
-TEST(ParzenRoundTrip, ScorerSurvivesCheckpointMove) {
-  std::vector<double> samples = {0.2, 0.6, 0.8};
-  const stats::ParzenScorer original(samples.data(), samples.size(), 0.1);
-  const std::string path = temp_path("parzen_move.gsm");
-  save_parzen_checkpoint(original, path);
-  ParzenCheckpoint loaded = ParzenCheckpoint::load(path);
-  const double before = loaded.scorer().log_density(0.5);
-  // The aligned heap buffer's address is stable across a move, so the
-  // scorer's borrowed pointer stays valid.
-  const ParzenCheckpoint moved = std::move(loaded);
-  EXPECT_EQ(moved.scorer().log_density(0.5), before);
-  EXPECT_EQ(moved.scorer().samples(), moved.samples_data());
 }
 
 /// Resume contract, parameterized over the optimizer kind: train N

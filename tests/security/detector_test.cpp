@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "gansec/error.hpp"
+#include "gansec/math/stats.hpp"
 #include "gansec/security/stream_detector.hpp"
 #include "test_fixture.hpp"
 
@@ -108,13 +110,36 @@ TEST(Detector, FalseAlarmRateNearConfigured) {
   config.false_alarm_percentile = 10.0;
   const auto model = scoring_model(config);
   AttackInjector injector(setup.builder, 47);
-  const double threshold = calibrate_threshold(
-      *model, injector.generate(30, 0.0, AttackKind::kNone));
+  const auto calibration = injector.generate(30, 0.0, AttackKind::kNone);
+  const double threshold = calibrate_threshold(*model, calibration);
+  // The threshold is exactly the configured percentile of the calibration
+  // scores.
+  std::vector<double> scores;
+  for (const Observation& obs : calibration) {
+    scores.push_back(model->score_row(obs.features, obs.expected_label));
+  }
+  EXPECT_EQ(threshold, math::percentile(scores, 10.0));
   const auto benign = injector.generate(30, 0.0, AttackKind::kNone);
   const DetectionReport report = evaluate(model, threshold, benign);
   EXPECT_EQ(report.attacked, 0U);
   // ~10% of benign observations should alarm (generous tolerance).
   EXPECT_LT(report.false_positive_rate, 0.3);
+}
+
+TEST(ScoringModel, DefaultSeedIsDE7EC7) {
+  // The default seed fixes every gansec detect / serve number; a model
+  // built with the literal seed must score every test row identically.
+  auto& setup = trained_setup();
+  const ScoringModel by_default(setup.model, fast_config());
+  const ScoringModel pinned(setup.model, fast_config(), 0xDE7EC7);
+  const math::Matrix& rows = setup.test_set.features;
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    const float* row = rows.data() + r * rows.cols();
+    const std::size_t label = setup.test_set.labels[r];
+    EXPECT_EQ(by_default.score(row, rows.cols(), label),
+              pinned.score(row, rows.cols(), label))
+        << "row " << r;
+  }
 }
 
 TEST(Detector, EvaluateEmptyThrows) {

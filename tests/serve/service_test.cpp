@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "gansec/error.hpp"
+#include "gansec/obs/metrics.hpp"
 #include "gansec/security/detector.hpp"
 #include "gansec/serve/loadgen.hpp"
 #include "serve_fixture.hpp"
@@ -183,6 +186,8 @@ TEST(DetectorService, DropOldestIsCountedAndKeepsNewestWindows) {
   config.streams = 1;
   config.ring_capacity = 4;
   DetectorService service(shared_model(), serve_setup().builder, config);
+  obs::Counter& dropped_metric = obs::counter("serve.windows_dropped");
+  const std::uint64_t metric_before = dropped_metric.value();
   // Not started: the ring fills and push() starts dropping the oldest.
   std::size_t dropped = 0;
   for (std::size_t j = 0; j < 10; ++j) {
@@ -197,12 +202,55 @@ TEST(DetectorService, DropOldestIsCountedAndKeepsNewestWindows) {
   EXPECT_EQ(totals.ingested, 10U);
   EXPECT_EQ(totals.dropped, 6U);
   EXPECT_EQ(totals.scored, 4U);
+  // The operator-facing metric counts the same drops.
+  EXPECT_EQ(dropped_metric.value() - metric_before, totals.dropped);
   // Drop-oldest: the survivors are exactly the newest four, in order.
   const auto& results = service.results(0);
   ASSERT_EQ(results.size(), 4U);
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_EQ(results[j].sequence, 6 + j);
   }
+}
+
+/// Textbook 64-bit FNV-1a, continued from `hash` over `bytes` bytes.
+std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+TEST(LoadGen, StreamChecksumIsFnv1aOfLabelsAndSamples) {
+  constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ULL;
+  // Published FNV-1a 64 test vectors pin the offset basis and the prime.
+  EXPECT_EQ(fnv1a(kOffsetBasis, "", 0), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a(kOffsetBasis, "a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a(kOffsetBasis, "foobar", 6), 0x85944171f73967e8ULL);
+
+  // stream_checksum hashes each window's label byte, then its samples'
+  // little-endian IEEE-754 bytes. A twin source yields the same windows.
+  const LoadGenConfig lg = test_traffic();
+  StreamSource source(serve_setup().builder, lg, 1);
+  StreamSource twin(serve_setup().builder, lg, 1);
+  std::uint64_t expected = kOffsetBasis;
+  for (std::size_t j = 0; j < lg.windows_per_stream; ++j) {
+    const StreamSource::Window w = twin.next();
+    ASSERT_LT(w.expected_label, 256U);
+    const auto label = static_cast<unsigned char>(w.expected_label);
+    expected = fnv1a(expected, &label, 1);
+    for (const double sample : w.samples) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &sample, sizeof(bits));
+      unsigned char le[sizeof(bits)];
+      for (std::size_t b = 0; b < sizeof(bits); ++b) {
+        le[b] = static_cast<unsigned char>(bits >> (8 * b));
+      }
+      expected = fnv1a(expected, le, sizeof(le));
+    }
+  }
+  EXPECT_EQ(stream_checksum(source, lg.windows_per_stream), expected);
 }
 
 TEST(DetectorService, HotSwapChangesScoringModel) {

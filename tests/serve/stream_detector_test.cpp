@@ -111,6 +111,25 @@ TEST(StreamDetector, ConsecutiveToAlarmSuppressesSingletons) {
   EXPECT_EQ(detector.score_window(loud.data(), loud.size(), 0).verdict,
             StreamVerdict::kIntegrity);
   EXPECT_EQ(detector.anomaly_run(), 2U);
+
+  // A benign window in between breaks the run: anomalous, benign,
+  // anomalous is two singletons, not a run of two. The threshold sits
+  // between two windows' scores, so the lower one alone is anomalous.
+  const std::vector<float> quiet(shared_model()->data_dim(), 0.1F);
+  const double loud_score = shared_model()->score(loud.data(), loud.size(), 0);
+  const double quiet_score =
+      shared_model()->score(quiet.data(), quiet.size(), 0);
+  ASSERT_NE(loud_score, quiet_score);
+  const std::vector<float>& low = loud_score < quiet_score ? loud : quiet;
+  const std::vector<float>& high = loud_score < quiet_score ? quiet : loud;
+  config.threshold = 0.5 * (loud_score + quiet_score);
+  StreamDetector interrupted(shared_model(), config);
+  for (const std::vector<float>* window : {&low, &high, &low}) {
+    EXPECT_EQ(interrupted.score_window(window->data(), window->size(), 0)
+                  .verdict,
+              StreamVerdict::kBenign);
+  }
+  EXPECT_EQ(interrupted.anomaly_run(), 1U);
 }
 
 TEST(StreamDetector, ResetClearsState) {

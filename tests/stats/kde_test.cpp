@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numbers>
+#include <vector>
 
 #include "gansec/error.hpp"
 #include "gansec/math/rng.hpp"
@@ -194,6 +197,31 @@ TEST(ParzenKde, MixtureGoldenValues) {
   EXPECT_NEAR(kde.log_density(0.5), std::log(expected), 1e-12);
   EXPECT_NEAR(kde.scaled_likelihood(0.5), expected * 0.8, 1e-14);
   EXPECT_EQ(clamp_counter().value(), clamps_before);
+}
+
+TEST(ParzenKde, RecordedFiveSampleGoldenValues) {
+  // Recorded log densities for samples {0.1, 0.25, 0.5, 0.75, 0.9} at
+  // h = 0.05: a regression pin on log_density's arithmetic.
+  const ParzenKde kde({0.1, 0.25, 0.5, 0.75, 0.9}, 0.05);
+  EXPECT_NEAR(kde.log_density(0.0), -1.5326166360145532, 1e-12);
+  EXPECT_NEAR(kde.log_density(0.3), -0.031538614698328415, 1e-12);
+  EXPECT_NEAR(kde.log_density(0.5), 0.4673632811938116, 1e-12);
+}
+
+TEST(ParzenKde, CopyScoresBitIdenticallyAfterSourceIsGone) {
+  auto source = std::make_unique<ParzenKde>(
+      std::vector<double>{0.1, 0.4, 0.42, 0.7, 0.95, 0.33}, 0.05);
+  const std::vector<double> queries = {-1.0, 0.0, 0.33, 0.5, 1.0, 2.5};
+  std::vector<double> expected;
+  for (const double x : queries) expected.push_back(source->log_density(x));
+  const ParzenKde copy = *source;
+  source.reset();
+  // The copy owns its samples: same doubles in, same arithmetic, same
+  // doubles out, with the source's buffer freed.
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(copy.log_density(queries[i]), expected[i])
+        << "x=" << queries[i];
+  }
 }
 
 TEST(ParzenKde, UnderflowClampIsCounted) {
