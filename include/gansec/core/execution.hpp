@@ -50,9 +50,10 @@ ThreadPool& global_pool();
 
 /// Runs `body` over [begin, end) honoring the global ExecutionConfig:
 /// serial when forced, when the range is at most one grain, when only one
-/// thread is configured, or when already inside a pool worker.
+/// thread is configured, or when ThreadPool::runs_inline() (inside a pool
+/// worker or another loop's caller lane).
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                  const ThreadPool::ChunkFn& body);
+                  ChunkRef body);
 
 /// RAII: installs a configuration and restores the previous one on exit.
 /// Used by PipelineConfig::execution, benchmarks and tests.

@@ -36,6 +36,9 @@ void matmul_transposed_a_into(Matrix& out, const Matrix& a, const Matrix& b);
 /// out = a * b^T without materializing the transpose: (m x k) * (n x k)^T.
 void matmul_transposed_b_into(Matrix& out, const Matrix& a, const Matrix& b);
 
+/// out = a^T, (m x n) -> (n x m). `out` must not alias `a`.
+void transpose_into(Matrix& out, const Matrix& a);
+
 /// out = a + b (elementwise). `out` may alias `a` or `b`.
 void add_into(Matrix& out, const Matrix& a, const Matrix& b);
 

@@ -17,6 +17,8 @@ class BatchNorm : public Layer {
   const math::Matrix& forward(const math::Matrix& input,
                               bool training) override;
   const math::Matrix& backward(const math::Matrix& grad_output) override;
+  const math::Matrix& backward(const math::Matrix& grad_output,
+                               BackwardMode mode) override;
   std::vector<Parameter*> parameters() override;
   void init_weights(math::Rng& rng) override;
   std::string kind() const override { return "batch_norm"; }

@@ -21,6 +21,8 @@ class Dense : public Layer {
   const math::Matrix& forward(const math::Matrix& input,
                               bool training) override;
   const math::Matrix& backward(const math::Matrix& grad_output) override;
+  const math::Matrix& backward(const math::Matrix& grad_output,
+                               BackwardMode mode) override;
   std::vector<Parameter*> parameters() override;
   void init_weights(math::Rng& rng) override;
   std::string kind() const override { return "dense"; }
@@ -44,10 +46,8 @@ class Dense : public Layer {
   // which may dangle if the caller passed a temporary.
   const math::Matrix* last_input_ = nullptr;
   std::size_t last_input_rows_ = 0;
-  math::Matrix out_;            // forward result
-  math::Matrix grad_in_;        // backward result
-  math::Matrix wgrad_scratch_;  // X^T * dL/dY before accumulation
-  math::Matrix bgrad_scratch_;  // column sums before accumulation
+  math::Matrix out_;      // forward result
+  math::Matrix grad_in_;  // backward result
 };
 
 }  // namespace gansec::nn

@@ -15,6 +15,15 @@
 
 namespace gansec::nn {
 
+/// What a backward pass must produce. The reduced modes skip work whose
+/// result nobody reads; whatever they do produce is bit-identical to the
+/// full pass.
+enum class BackwardMode {
+  kFull,        ///< parameter gradients and dLoss/dInput
+  kParamsOnly,  ///< parameter gradients; dLoss/dInput is not computed
+  kInputOnly,   ///< dLoss/dInput; Parameter::grad is left untouched
+};
+
 /// A trainable tensor with its accumulated gradient.
 struct Parameter {
   std::string name;
@@ -54,6 +63,15 @@ class Layer {
   /// layer-owned buffer (valid until the next backward() call). Trainable
   /// layers accumulate into their Parameter::grad as a side effect.
   virtual const math::Matrix& backward(const math::Matrix& grad_output) = 0;
+
+  /// backward() reduced to what `mode` asks for. In kParamsOnly the
+  /// returned matrix is not a gradient (empty for a layer that skipped
+  /// it). Layers without parameters have nothing to skip and run the full
+  /// pass, which is what this default does.
+  virtual const math::Matrix& backward(const math::Matrix& grad_output,
+                                       BackwardMode /*mode*/) {
+    return backward(grad_output);
+  }
 
   /// Trainable parameters (empty for activations).
   virtual std::vector<Parameter*> parameters() { return {}; }

@@ -44,10 +44,14 @@ class Mlp {
   const math::Matrix& forward(const math::Matrix& input,
                               bool training = false);
 
-  /// Full backward pass; returns dLoss/dInput (a reference to the first
+  /// Backward pass; returns dLoss/dInput (a reference to the first
   /// layer's gradient buffer) and accumulates parameter gradients. Must
-  /// follow a forward() with the same batch.
-  const math::Matrix& backward(const math::Matrix& grad_output);
+  /// follow a forward() with the same batch. `mode` drops what the caller
+  /// does not read: kParamsOnly skips the first layer's dLoss/dInput (the
+  /// result is then not to be read), kInputOnly leaves every parameter
+  /// gradient untouched.
+  const math::Matrix& backward(const math::Matrix& grad_output,
+                               BackwardMode mode = BackwardMode::kFull);
 
   /// All trainable parameters in layer order.
   std::vector<Parameter*> parameters();

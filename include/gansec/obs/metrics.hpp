@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -151,7 +152,9 @@ class Series {
 
   mutable std::mutex mu_;
   std::string name_;
-  std::vector<std::pair<double, double>> points_;
+  /// Chunked storage: an append never copies the points already held, so
+  /// a long training run leaves no doubled-and-freed buffers in the heap.
+  std::deque<std::pair<double, double>> points_;
   std::size_t capacity_;
   std::size_t head_ = 0;  ///< index of the oldest point once the ring wraps
   std::uint64_t dropped_ = 0;

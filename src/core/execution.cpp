@@ -57,9 +57,14 @@ ThreadPool& global_pool() {
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                  const ThreadPool::ChunkFn& body) {
+                  ChunkRef body) {
   if (begin >= end) return;
   if (grain == 0) grain = 1;
+  // Nested calls skip the config lock: they run inline whatever it says.
+  if (ThreadPool::runs_inline()) {
+    body(begin, end);
+    return;
+  }
   ExecutionConfig config;
   {
     const std::lock_guard<std::mutex> lock(g_mu);
@@ -67,8 +72,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   }
   const std::size_t threads = resolved_threads(config);
   const std::size_t n = end - begin;
-  if (config.force_serial || threads <= 1 || n <= grain ||
-      ThreadPool::on_worker_thread()) {
+  if (config.force_serial || threads <= 1 || n <= grain) {
     body(begin, end);
     return;
   }

@@ -261,7 +261,8 @@ void CganTrainer::discriminator_step(const Matrix& samples,
   } else {
     bce.gradient_into(grad_loss, d_real, targets);
   }
-  d.backward(grad_loss);
+  // D's input gradient is never read here, so its first layer skips it.
+  d.backward(grad_loss, nn::BackwardMode::kParamsOnly);
 
   // Fake branch: maximize log(1 - D(G(z|f2))) == minimize BCE(D, 0); LSGAN
   // regresses D(fake) toward 0. The generator is only sampled here; its
@@ -281,7 +282,7 @@ void CganTrainer::discriminator_step(const Matrix& samples,
   } else {
     bce.gradient_into(grad_loss, d_fake, targets);
   }
-  d.backward(grad_loss);
+  d.backward(grad_loss, nn::BackwardMode::kParamsOnly);
 
   opt_d_->step();
   opt_d_->zero_grad();
@@ -303,7 +304,6 @@ void CganTrainer::generator_step(const Matrix& last_conditions,
   rng_.fill_normal(z, n, model_.topology().noise_dim, 0.0F, 1.0F);
 
   opt_g_->zero_grad();
-  opt_d_->zero_grad();
 
   Matrix& g_in = ws.acquire(n, z.cols() + last_conditions.cols());
   math::hstack_into(g_in, z, last_conditions);
@@ -336,18 +336,19 @@ void CganTrainer::generator_step(const Matrix& last_conditions,
   // before the backward passes reuse any buffers d_fake could alias.
   record.g_loss = -mean_log(d_fake);
 
-  // Backprop through D to its input, slice off the data part, then through G.
-  const Matrix& grad_d_input = d.backward(grad_d_out);
+  // Backprop through D to its input, slice off the data part, then through
+  // G. D's parameter gradients are not computed at all (its optimizer does
+  // not step here, and the next discriminator step starts from zero), nor
+  // is G's gradient with respect to [z | f2].
+  const Matrix& grad_d_input =
+      d.backward(grad_d_out, nn::BackwardMode::kInputOnly);
   Matrix& grad_fake = ws.acquire(n, model_.topology().data_dim);
   math::slice_cols_into(grad_fake, grad_d_input, 0,
                         model_.topology().data_dim);
-  g.backward(grad_fake);
+  g.backward(grad_fake, nn::BackwardMode::kParamsOnly);
 
   opt_g_->step();
   opt_g_->zero_grad();
-  // D accumulated gradients during the generator pass; drop them so the next
-  // discriminator step starts clean.
-  opt_d_->zero_grad();
 }
 
 // gansec-lint: end-hot-path

@@ -125,6 +125,19 @@ void matmul_transposed_b_into(Matrix& out, const Matrix& a, const Matrix& b) {
   });
 }
 
+void transpose_into(Matrix& out, const Matrix& a) {
+  if (&out == &a) {
+    throw InvalidArgumentError("math::transpose_into: out must not alias a");
+  }
+  const std::size_t rows = a.rows();
+  const std::size_t cols = a.cols();
+  out.resize(cols, rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* src = a.data() + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) out.data()[c * rows + r] = src[c];
+  }
+}
+
 void add_into(Matrix& out, const Matrix& a, const Matrix& b) {
   if (!a.same_shape(b)) throw_shape("add_into", a, b);
   out.resize(a.rows(), a.cols());

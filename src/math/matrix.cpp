@@ -130,12 +130,8 @@ Matrix Matrix::matmul_transposed_a(const Matrix& a, const Matrix& b) {
 }
 
 Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out(c, r) = (*this)(r, c);
-    }
-  }
+  Matrix out;
+  transpose_into(out, *this);
   return out;
 }
 

@@ -58,10 +58,16 @@ LeakyRelu::LeakyRelu(float negative_slope) : slope_(negative_slope) {
 
 // gansec-lint: hot-path
 
+// Both loops multiply by a selected factor instead of selecting between
+// v and s*v: v * 1 is exactly v (±0, ±inf and NaN included) and v * s is
+// s * v, so the bits are those of the branchy form. With the multiply
+// unconditional, and this file built with -fno-trapping-math (see
+// src/nn/CMakeLists.txt), GCC turns each loop into compare, blend and
+// multiply on packed floats instead of a branch per element.
 const Matrix& LeakyRelu::forward(const Matrix& input, bool /*training*/) {
   const float s = slope_;
   math::transform_into(out_, input,
-                       [s](float v) { return v > 0.0F ? v : s * v; });
+                       [s](float v) { return v * (v > 0.0F ? 1.0F : s); });
   return out_;
 }
 
@@ -70,9 +76,13 @@ const Matrix& LeakyRelu::backward(const Matrix& grad_output) {
   // With slope >= 0, y = s*x preserves sign (and -0 stays <= 0), so
   // y > 0 exactly when x > 0 — same mask the input would give.
   grad_in_.resize(grad_output.rows(), grad_output.cols());
-  for (std::size_t i = 0; i < grad_in_.size(); ++i) {
-    const float g = grad_output.data()[i];
-    grad_in_.data()[i] = out_.data()[i] > 0.0F ? g : g * slope_;
+  const float s = slope_;
+  const float* y = out_.data();
+  const float* g = grad_output.data();
+  float* dx = grad_in_.data();
+  const std::size_t n = grad_in_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    dx[i] = g[i] * (y[i] > 0.0F ? 1.0F : s);
   }
   return grad_in_;
 }

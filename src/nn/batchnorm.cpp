@@ -78,25 +78,34 @@ const Matrix& BatchNorm::forward(const Matrix& input, bool training) {
 }
 
 const Matrix& BatchNorm::backward(const Matrix& grad_output) {
+  return backward(grad_output, BackwardMode::kFull);
+}
+
+const Matrix& BatchNorm::backward(const Matrix& grad_output,
+                                  BackwardMode mode) {
   if (!grad_output.same_shape(last_xhat_)) {
     throw DimensionError("BatchNorm::backward: gradient shape mismatch");
   }
   const std::size_t m = grad_output.rows();
   const std::size_t d = features();
   const float fm = static_cast<float>(m);
-  grad_in_.resize(m, d);
+  const bool want_params = mode != BackwardMode::kInputOnly;
+  const bool want_input = mode != BackwardMode::kParamsOnly;
+  grad_in_.resize(want_input ? m : 0, want_input ? d : 0);
   Matrix& grad_in = grad_in_;
 
   for (std::size_t c = 0; c < d; ++c) {
-    // Parameter gradients.
-    float dgamma = 0.0F;
-    float dbeta = 0.0F;
-    for (std::size_t r = 0; r < m; ++r) {
-      dgamma += grad_output(r, c) * last_xhat_(r, c);
-      dbeta += grad_output(r, c);
+    if (want_params) {
+      float dgamma = 0.0F;
+      float dbeta = 0.0F;
+      for (std::size_t r = 0; r < m; ++r) {
+        dgamma += grad_output(r, c) * last_xhat_(r, c);
+        dbeta += grad_output(r, c);
+      }
+      gamma_.grad(0, c) += dgamma;
+      beta_.grad(0, c) += dbeta;
     }
-    gamma_.grad(0, c) += dgamma;
-    beta_.grad(0, c) += dbeta;
+    if (!want_input) continue;
 
     const float inv_std = 1.0F / std::sqrt(last_var_(0, c) + eps_);
     if (!last_training_) {

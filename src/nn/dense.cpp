@@ -9,6 +9,21 @@ namespace gansec::nn {
 
 using math::Matrix;
 
+namespace {
+
+// W-sized backward scratch, one set per thread, shared by every Dense
+// layer of every network the thread trains. Not the thread's Workspace:
+// the trainer reaches backward() at a different cursor depth in each
+// step, and every depth would keep W-sized slots of its own.
+struct BackwardScratch {
+  Matrix wgrad;  // X^T * dL/dY before accumulation
+  Matrix bgrad;  // column sums before accumulation
+  Matrix w_t;    // W^T, the right operand of dL/dX
+};
+thread_local BackwardScratch t_scratch;
+
+}  // namespace
+
 Dense::Dense(std::size_t inputs, std::size_t outputs, InitScheme scheme)
     : weight_("W", Matrix(inputs, outputs, 0.0F)),
       bias_("b", Matrix(1, outputs, 0.0F)),
@@ -36,18 +51,35 @@ const Matrix& Dense::forward(const Matrix& input, bool /*training*/) {
 }
 
 const Matrix& Dense::backward(const Matrix& grad_output) {
+  return backward(grad_output, BackwardMode::kFull);
+}
+
+const Matrix& Dense::backward(const Matrix& grad_output, BackwardMode mode) {
   if (grad_output.rows() != last_input_rows_ ||
       grad_output.cols() != outputs()) {
     throw DimensionError("Dense::backward: gradient shape mismatch");
   }
-  // dL/dW = X^T * dL/dY ; dL/db = column sums ; dL/dX = dL/dY * W^T.
-  // Each product lands in a reused scratch first, then accumulates, so the
-  // float rounding order matches grad += full_product exactly.
-  math::matmul_transposed_a_into(wgrad_scratch_, *last_input_, grad_output);
-  weight_.grad += wgrad_scratch_;
-  math::col_sums_into(bgrad_scratch_, grad_output);
-  bias_.grad += bgrad_scratch_;
-  math::matmul_transposed_b_into(grad_in_, grad_output, weight_.value);
+  BackwardScratch& scratch = t_scratch;
+  if (mode != BackwardMode::kInputOnly) {
+    // dL/dW = X^T * dL/dY ; dL/db = column sums. Each lands in scratch
+    // first, then accumulates, so the float rounding order matches
+    // grad += full_product exactly.
+    math::matmul_transposed_a_into(scratch.wgrad, *last_input_, grad_output);
+    weight_.grad += scratch.wgrad;
+    math::col_sums_into(scratch.bgrad, grad_output);
+    bias_.grad += scratch.bgrad;
+  }
+  if (mode == BackwardMode::kParamsOnly) {
+    grad_in_.resize(0, 0);
+    return grad_in_;
+  }
+  // dL/dX = dL/dY * W^T as a forward-shaped GEMM over a transposed copy of
+  // W: its inner loop streams rows and vectorizes, where a dot product
+  // per output is a serial float reduction. Each output still sums over k
+  // ascending from +0; the terms it skips for dL/dY == 0 add ±0, so the
+  // bits match the dot product for finite weights.
+  math::transpose_into(scratch.w_t, weight_.value);
+  math::matmul_into(grad_in_, grad_output, scratch.w_t);
   return grad_in_;
 }
 

@@ -27,13 +27,17 @@ const Matrix& Mlp::forward(const Matrix& input, bool training) {
   return *x;
 }
 
-const Matrix& Mlp::backward(const Matrix& grad_output) {
+const Matrix& Mlp::backward(const Matrix& grad_output, BackwardMode mode) {
   if (layers_.empty()) {
     throw InvalidArgumentError("Mlp::backward: network has no layers");
   }
+  // Every layer but the first feeds its dLoss/dInput to the layer below,
+  // so only the first one may skip it.
+  const BackwardMode inner =
+      mode == BackwardMode::kParamsOnly ? BackwardMode::kFull : mode;
   const Matrix* g = &grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = &(*it)->backward(*g);
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    g = &layers_[i]->backward(*g, i == 0 ? mode : inner);
   }
   return *g;
 }

@@ -83,6 +83,11 @@ Adam::Adam(std::vector<Parameter*> params, float learning_rate, float beta1,
   }
 }
 
+// The element loop runs on packed floats: this file is built with
+// -fno-math-errno (std::sqrt needs no errno branch, so it becomes sqrtps)
+// and -fno-trapping-math (see src/nn/CMakeLists.txt). Every lane still
+// does the same IEEE single-precision operations in the same order, with
+// no FMA, so the updates are bit-identical to the scalar loop.
 void Adam::step() {
   ++t_;
   const float bc1 = 1.0F - std::pow(beta1_, static_cast<float>(t_));

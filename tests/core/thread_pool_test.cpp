@@ -148,6 +148,57 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   }
 }
 
+TEST(ThreadPool, NestedCallFromCallerLaneRunsInline) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> caller_chunks{0};
+  std::atomic<int> inner_calls{0};
+  EXPECT_FALSE(ThreadPool::runs_inline());
+  // Eight slow chunks on two lanes: the caller is sure to run some.
+  pool.parallel_for(0, 8, 1, [&](std::size_t, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (std::this_thread::get_id() != caller) return;
+    caller_chunks.fetch_add(1);
+    EXPECT_TRUE(ThreadPool::runs_inline());
+    pool.parallel_for(0, 100, 1, [&](std::size_t lo, std::size_t hi) {
+      // One serial chunk on the caller, not a fan-out.
+      inner_calls.fetch_add(1);
+      EXPECT_EQ(lo, 0U);
+      EXPECT_EQ(hi, 100U);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+    });
+  });
+  EXPECT_GT(caller_chunks.load(), 0);
+  EXPECT_EQ(inner_calls.load(), caller_chunks.load());
+  EXPECT_FALSE(ThreadPool::runs_inline());
+}
+
+TEST(ThreadPool, ConcurrentOutsideCallersEachCoverEveryIndexOnce) {
+  // Two threads that are not pool workers dispatch on one pool at once:
+  // they compete for the same mailboxes, and each loop must still run
+  // every one of its chunks exactly once.
+  ThreadPool pool(3);
+  constexpr std::size_t kN = 257;
+  constexpr int kRounds = 200;
+  const auto dispatch = [&pool](std::vector<std::atomic<int>>& hits) {
+    for (int round = 0; round < kRounds; ++round) {
+      pool.parallel_for(0, kN, 3, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+      });
+    }
+  };
+  std::vector<std::atomic<int>> hits_a(kN);
+  std::vector<std::atomic<int>> hits_b(kN);
+  std::thread a([&] { dispatch(hits_a); });
+  std::thread b([&] { dispatch(hits_b); });
+  a.join();
+  b.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits_a[i].load(), kRounds) << "index " << i;
+    EXPECT_EQ(hits_b[i].load(), kRounds) << "index " << i;
+  }
+}
+
 TEST(ThreadPool, NestedSubmitDoesNotDeadlock) {
   ThreadPool pool(1);  // a single worker is the tightest deadlock trap
   std::promise<void> inner_ran;
@@ -166,7 +217,7 @@ TEST(ThreadPool, ParallelForFromWorkerRunsInline) {
   std::promise<void> checked;
   std::future<void> done = checked.get_future();
   pool.submit([&pool, &checked] {
-    EXPECT_TRUE(ThreadPool::on_worker_thread());
+    EXPECT_TRUE(ThreadPool::runs_inline());
     int calls = 0;
     const std::thread::id worker = std::this_thread::get_id();
     pool.parallel_for(0, 100, 1, [&](std::size_t lo, std::size_t hi) {
@@ -180,7 +231,7 @@ TEST(ThreadPool, ParallelForFromWorkerRunsInline) {
   });
   ASSERT_EQ(done.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);
-  EXPECT_FALSE(ThreadPool::on_worker_thread());
+  EXPECT_FALSE(ThreadPool::runs_inline());
 }
 
 TEST(Execution, ResolvedThreads) {

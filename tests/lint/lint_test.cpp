@@ -468,6 +468,22 @@ TEST(LintCallGraph, SignalContextPropagatesWithChains) {
   EXPECT_EQ(diags[1].line, 14U);
 }
 
+TEST(LintCallGraph, TemplateQualifiedCallsResolvePastTheirArguments) {
+  const Linter linter = lint_fixtures({"callgraph/template_qualified.cpp"});
+  const auto& diags = linter.diagnostics();
+  ASSERT_EQ(diags.size(), 1U);
+  EXPECT_EQ(diags[0].rule, "hotpath-alloc");
+  EXPECT_EQ(diags[0].line, 21U);
+  ASSERT_EQ(diags[0].chain.size(), 2U);
+  EXPECT_NE(diags[0].chain[1].find("fx::Box::make"), std::string::npos);
+  bool boxed = false;
+  for (const auto& e : linter.call_edges()) {
+    EXPECT_NE(e.callee, "fx::Grid::max") << "std:: call resolved into fx";
+    if (e.caller == "fx::root" && e.callee == "fx::Box::make") boxed = true;
+  }
+  EXPECT_TRUE(boxed) << "template-qualified edge missing";
+}
+
 TEST(LintCallGraph, ReachabilityEvidenceIsExported) {
   const Linter linter = lint_fixtures({"callgraph/direct.cpp"});
   bool reached = false;

@@ -82,6 +82,16 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(s.n);
     });
 
+TEST(Kernels, TransposeIntoMatchesNaiveAndRejectsAlias) {
+  Rng rng(12);
+  const Matrix a = random_matrix(rng, 7, 13);
+  Matrix out(2, 2);  // reshaped, not appended to
+  transpose_into(out, a);
+  expect_bitwise_equal(out, transpose(a));
+  Matrix self = a;
+  EXPECT_THROW(transpose_into(self, self), InvalidArgumentError);
+}
+
 TEST(Kernels, MatmulIntoMatchesValueApi) {
   Rng rng(11);
   const Matrix a = random_matrix(rng, 6, 5);

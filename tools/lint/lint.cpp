@@ -272,6 +272,20 @@ std::size_t skip_template_args(const std::vector<Token>& sig, std::size_t i) {
   return i;
 }
 
+/// Returns the index of the '<' that opens the template argument list
+/// closed by the '>' at `close`, or sig.size() when there is none.
+std::size_t template_args_open(const std::vector<Token>& sig,
+                               std::size_t close) {
+  std::size_t depth = 0;
+  for (std::size_t i = close + 1; i-- > 0;) {
+    const std::string_view t = tok_text(sig, i);
+    if (t == ">") ++depth;
+    if (t == "<" && --depth == 0) return i;
+    if (t == ";" || t == "{" || t == "}") break;
+  }
+  return sig.size();
+}
+
 /// Returns the index one past the ')' matching the '(' at `i`.
 std::size_t skip_parens(const std::vector<Token>& sig, std::size_t i) {
   std::size_t depth = 0;
@@ -1246,11 +1260,20 @@ void Linter::scan_symbols(std::size_t file_index,
     }
     std::string callee(id);
     if (!member) {
+      // Prepend the qualifiers, stepping over template arguments:
+      // `std::numeric_limits<double>::max(` is recorded as
+      // std::numeric_limits::max, so the std:: skip below sees it.
       std::size_t b = i;
-      while (b >= 2 && text(b - 1) == "::" &&
-             kind(b - 2) == TokKind::kIdentifier) {
-        callee = std::string(text(b - 2)) + "::" + callee;
-        b -= 2;
+      while (b >= 2 && text(b - 1) == "::") {
+        std::size_t q = b - 2;
+        if (text(q) == ">") {
+          q = template_args_open(sig, q);
+          if (q == 0 || q >= sig.size()) break;
+          --q;
+        }
+        if (kind(q) != TokKind::kIdentifier) break;
+        callee = std::string(text(q)) + "::" + callee;
+        b = q;
       }
     }
     if (callee.rfind("std::", 0) == 0) continue;
